@@ -8,8 +8,9 @@ instruments, never charges cycles), and everything it records is a
 simulated quantity, so timelines are byte-reproducible per shard and
 merged.  Four legs:
 
-* **overhead** — the same workload with the timeline off and on:
-  identical end clock, identical report, bounded wall-clock overhead;
+* **overhead** — the same workload with the timeline off and on, each
+  run in a fresh process, in two off/on/on/off blocks: identical end
+  clock, identical report, bounded wall-clock overhead;
 * **chaos** — a 10k-user run under a timed storm (CPU lost, then
   restored): the HealthMonitor's breach log is confined to the storm
   window, every post-recovery sample is breach-free, and the timeline
@@ -28,9 +29,12 @@ rule asserts no accepted deny record was ever evicted
 the ring and cannot displace denials.
 """
 
+import concurrent.futures
 import json
+import multiprocessing
 import os
 import pathlib
+import statistics
 import time
 
 from repro import MulticsSystem, kernel_config
@@ -87,6 +91,11 @@ def chaos_interval(n_users):
 #: through it.
 WALL_OVERHEAD_CEILING = 1.5
 
+#: Sampler off/on order of the overhead leg's runs: two ABBA blocks, so
+#: a host that drifts faster or slower across a block shifts both of
+#: its pairs alike.  Each adjacent off/on pair gives one ratio.
+OVERHEAD_ORDER = (False, True, True, False) * 2
+
 
 def _config(timeline=None, audit_level="all"):
     return kernel_config(fast_path=True, audit_level=audit_level,
@@ -105,32 +114,51 @@ def run_workload(n_users, timeline=None, audit_level="all", seed=SEED):
     return system, report
 
 
+def timed_run(n_users, sampled):
+    """One overhead-leg run: (wall seconds, the simulated results — end
+    clock and the report without its wall-clock keys — and the number
+    of timeline samples taken)."""
+    t0 = time.perf_counter()
+    system, report = run_workload(
+        n_users, timeline=_timeline_spec() if sampled else None
+    )
+    wall = time.perf_counter() - t0
+    sim = {**report.to_dict(), "end_clock": report.end_clock}
+    for wall_key in ("wall_seconds", "users_per_sec", "cycles_per_sec"):
+        sim.pop(wall_key)
+    timeline = system.timeline_document()
+    return wall, sim, len(timeline["samples"]) if timeline else 0
+
+
+def in_fresh_process(fn, *args):
+    """``fn(*args)`` in a newly spawned interpreter, so no run pays for
+    a heap or a live system another run left behind."""
+    with concurrent.futures.ProcessPoolExecutor(
+        max_workers=1, mp_context=multiprocessing.get_context("spawn")
+    ) as pool:
+        return pool.submit(fn, *args).result()
+
+
 def overhead_leg(n_users=USERS_SMALL):
-    """Sampler on/off: identical simulation, bounded wall overhead."""
-    t0 = time.perf_counter()
-    sys_off, rep_off = run_workload(n_users)
-    wall_off = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    sys_on, rep_on = run_workload(n_users, timeline=_timeline_spec())
-    wall_on = time.perf_counter() - t0
+    """Sampler on/off: identical simulation, bounded wall overhead.
 
-    def sim_only(report):
-        doc = report.to_dict()
-        for wall_key in ("wall_seconds", "users_per_sec", "cycles_per_sec"):
-            doc.pop(wall_key, None)
-        return doc
-
-    identical = (rep_off.end_clock == rep_on.end_clock
-                 and sim_only(rep_off) == sim_only(rep_on))
-    doc = sys_on.timeline_document()
-    ratio = wall_on / wall_off if wall_off else 0.0
+    The runs go in ``OVERHEAD_ORDER``, each in its own process; the
+    ratio is the median of the on/off pairs' ratios.
+    """
+    runs = [in_fresh_process(timed_run, n_users, sampled)
+            for sampled in OVERHEAD_ORDER]
+    off = [run for run, sampled in zip(runs, OVERHEAD_ORDER) if not sampled]
+    on = [run for run, sampled in zip(runs, OVERHEAD_ORDER) if sampled]
+    identical = all(run[1] == runs[0][1] for run in runs)
+    ratios = [b[0] / a[0] if a[0] else 0.0 for a, b in zip(off, on)]
     return {
         "clock_identical": identical,
-        "end_clock": rep_on.end_clock,
-        "samples": len(doc["samples"]),
-        "wall_off_seconds": round(wall_off, 4),
-        "wall_on_seconds": round(wall_on, 4),
-        "wall_overhead_ratio": round(ratio, 3),
+        "end_clock": on[0][1]["end_clock"],
+        "samples": on[0][2],
+        "wall_off_seconds": round(statistics.median(r[0] for r in off), 4),
+        "wall_on_seconds": round(statistics.median(r[0] for r in on), 4),
+        "wall_overhead_ratios": [round(r, 3) for r in ratios],
+        "wall_overhead_ratio": round(statistics.median(ratios), 3),
     }
 
 

@@ -59,6 +59,9 @@ _FETCH = object()
 #: descriptor segment and drops out of the broadcast automatically).
 _LIVE: "weakref.WeakSet[AssociativeMemory]" = weakref.WeakSet()
 
+#: Marks "no entry" in ``dict.pop`` (fetch-legality entries hold None).
+_ABSENT = object()
+
 #: uid -> the AMs currently caching at least one entry for that object.
 #: ``cam_uid`` visits only these instead of every live AM: with a 10k-user
 #: population there are 10k+ live AMs but each segment is cached by a
@@ -80,6 +83,43 @@ def fetch_key(segno: int, ring: int) -> tuple:
     return (segno, FETCH_PAGENO, ring, _FETCH)
 
 
+class AmTotals:
+    """Running sums of the counters of every AM bound to it.
+
+    The ``am.*`` metrics read these five integers instead of adding up
+    one AM per process at every read: a bound AM bumps them as it bumps
+    its own counters, so a registry read costs the same at ten
+    processes as at ten thousand.  :meth:`bind` adds an AM's lifetime
+    counts (and its current size) and routes its later changes here
+    through the AM's one ``totals`` slot; :meth:`unbind` stops the feed
+    and takes its entries back out, while its counts stay in, so the
+    four counters never go down.
+    """
+
+    __slots__ = ("hits", "misses", "invalidations", "cams", "entries")
+
+    def __init__(self) -> None:
+        self.hits = 0
+        self.misses = 0
+        self.invalidations = 0
+        self.cams = 0
+        #: Entries currently cached by the bound AMs.
+        self.entries = 0
+
+    def bind(self, am: "AssociativeMemory") -> None:
+        self.hits += am.hits
+        self.misses += am.misses
+        self.invalidations += am.invalidations
+        self.cams += am.cams
+        self.entries += len(am)
+        am.totals = self
+
+    def unbind(self, am: "AssociativeMemory") -> None:
+        if am.totals is self:
+            self.entries -= len(am)
+            am.totals = None
+
+
 class AssociativeMemory:
     """Bounded cache of checked translations for one descriptor segment.
 
@@ -91,11 +131,16 @@ class AssociativeMemory:
     CPU touches the entry table on every reference.  ``__weakref__``
     stays declared so the ``_LIVE`` cam-broadcast WeakSet keeps
     working.
+
+    Every change to ``hits``, ``misses``, ``invalidations``, ``cams``
+    or the entry count is mirrored into :attr:`totals` when the AM is
+    bound to one (a process's AM tracked by the kernel); a per-CPU
+    private AM is never bound.
     """
 
     __slots__ = ("capacity", "_entries", "_by_segno", "_by_uid",
                  "_key_uid", "hits", "misses", "invalidations", "cams",
-                 "capacity_evictions", "__weakref__")
+                 "capacity_evictions", "totals", "__weakref__")
 
     def __init__(self, capacity: int = DEFAULT_ENTRIES) -> None:
         self.capacity = capacity
@@ -112,6 +157,8 @@ class AssociativeMemory:
         self.invalidations = 0
         self.cams = 0
         self.capacity_evictions = 0
+        #: The :class:`AmTotals` this AM feeds, if any.
+        self.totals: AmTotals | None = None
         _LIVE.add(self)
 
     def __len__(self) -> int:
@@ -128,6 +175,8 @@ class AssociativeMemory:
         entry = self._entries.get(key)
         if entry is None:
             self.misses += 1
+            if self.totals is not None:
+                self.totals.misses += 1
             return None
         frame, ptw, bound = entry
         if offset >= bound or not ptw.in_core or ptw.frame != frame:
@@ -136,8 +185,13 @@ class AssociativeMemory:
             self._drop(key)
             self.invalidations += 1
             self.misses += 1
+            if self.totals is not None:
+                self.totals.invalidations += 1
+                self.totals.misses += 1
             return None
         self.hits += 1
+        if self.totals is not None:
+            self.totals.hits += 1
         return frame, ptw
 
     def fetch_probe(self, segno: int, ring: int) -> bool:
@@ -146,8 +200,12 @@ class AssociativeMemory:
         key = fetch_key(segno, ring)
         if key in self._entries:
             self.hits += 1
+            if self.totals is not None:
+                self.totals.hits += 1
             return True
         self.misses += 1
+        if self.totals is not None:
+            self.totals.misses += 1
         return False
 
     # -- insertion -------------------------------------------------------
@@ -167,6 +225,8 @@ class AssociativeMemory:
             return
         if key in self._entries:
             self._entries.pop(key)
+        elif self.totals is not None:
+            self.totals.entries += 1
         while len(self._entries) >= self.capacity:
             self._drop(next(iter(self._entries)))
             self.capacity_evictions += 1
@@ -187,7 +247,9 @@ class AssociativeMemory:
     # -- invalidation ----------------------------------------------------
 
     def _drop(self, key) -> None:
-        self._entries.pop(key, None)
+        if (self._entries.pop(key, _ABSENT) is not _ABSENT
+                and self.totals is not None):
+            self.totals.entries -= 1
         segno = key[0]
         keys = self._by_segno.get(segno)
         if keys is not None:
@@ -221,6 +283,8 @@ class AssociativeMemory:
             self._drop(key)
             dropped += 1
         self.invalidations += dropped
+        if self.totals is not None:
+            self.totals.invalidations += dropped
         return dropped
 
     def invalidate_uid(self, uid: int, pageno: int | None = None) -> int:
@@ -238,6 +302,8 @@ class AssociativeMemory:
             self._drop(key)
             dropped += 1
         self.invalidations += dropped
+        if self.totals is not None:
+            self.totals.invalidations += dropped
         return dropped
 
     def cam(self) -> int:
@@ -252,6 +318,10 @@ class AssociativeMemory:
         self._key_uid.clear()
         self.cams += 1
         self.invalidations += dropped
+        if self.totals is not None:
+            self.totals.cams += 1
+            self.totals.invalidations += dropped
+            self.totals.entries -= dropped
         return dropped
 
 

@@ -645,7 +645,7 @@ class CPU:
         # Pending counter deltas (see docstring): folded into the
         # instance counters at every boundary, never observable stale.
         cyc = 0      # -> self.cycles
-        hits = 0     # -> am.hits
+        hits = 0     # -> am.hits (and am.totals, when bound)
         hitc = 0     # -> self.am_hit_cycles
         wlkc = 0     # -> self.walk_cycles (AM-off fetch walks)
         ninst = 0    # -> self.instructions_executed
@@ -679,8 +679,12 @@ class CPU:
                             if hits:
                                 am.hits += hits
                                 self.am_hit_cycles += hitc
+                                if am.totals is not None:
+                                    am.totals.hits += hits
                             cyc = hits = hitc = wlkc = ninst = 0
                             am.misses += 1
+                            if am.totals is not None:
+                                am.totals.misses += 1
                             sdw = dseg.get(segno)
                             check_access(sdw, ring, F)
                             self.cycles += walk_cost
@@ -733,6 +737,8 @@ class CPU:
                         if hits:
                             am.hits += hits
                             self.am_hit_cycles += hitc
+                            if am.totals is not None:
+                                am.totals.hits += hits
                         cyc = hits = hitc = wlkc = ninst = 0
                         fr, word = translate_slow(ctx, a, off, R)
                         self.cycles += core_cost
@@ -780,6 +786,8 @@ class CPU:
                         if hits:
                             am.hits += hits
                             self.am_hit_cycles += hitc
+                            if am.totals is not None:
+                                am.totals.hits += hits
                         cyc = hits = hitc = wlkc = ninst = 0
                         fr, word = translate_slow(ctx, a, off, W)
                         self.cycles += core_cost
@@ -880,6 +888,8 @@ class CPU:
                         if hits:
                             am.hits += hits
                             self.am_hit_cycles += hitc
+                            if am.totals is not None:
+                                am.totals.hits += hits
                         cyc = hits = hitc = wlkc = ninst = 0
                         segno, code, pc = self._do_call(
                             ctx, frames, stack, segno, pc, a, b, c,
@@ -897,6 +907,8 @@ class CPU:
                         if hits:
                             am.hits += hits
                             self.am_hit_cycles += hitc
+                            if am.totals is not None:
+                                am.totals.hits += hits
                         cyc = hits = hitc = wlkc = ninst = 0
                         tgt = self._resolve_link(ctx, a)
                         segno, code, pc = self._do_call(
@@ -936,6 +948,8 @@ class CPU:
                 if hits:
                     am.hits += hits
                     self.am_hit_cycles += hitc
+                    if am.totals is not None:
+                        am.totals.hits += hits
                 cyc = hits = hitc = wlkc = ninst = 0
                 target = yield
                 base = self.cycles
@@ -949,6 +963,8 @@ class CPU:
             if hits:
                 am.hits += hits
                 self.am_hit_cycles += hitc
+                if am.totals is not None:
+                    am.totals.hits += hits
 
     # -- helpers -----------------------------------------------------------
 

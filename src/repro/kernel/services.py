@@ -22,6 +22,7 @@ from repro.fs.acl import Acl
 from repro.fs.directory import Branch, DirectoryTree
 from repro.fs.kst import KnownSegmentTable
 from repro.fs.uid_layer import UidFileSystem
+from repro.hw.assoc import AmTotals
 from repro.hw.clock import Simulator
 from repro.hw.interrupts import InterruptController
 from repro.hw.memory import MemoryHierarchy
@@ -141,12 +142,12 @@ class KernelServices:
         #: Kernel-side per-process state, keyed by pid.
         self._pstate: dict[int, ProcessKernelState] = {}
         #: Every process the kernel has seen (pid -> Process): the scope
-        #: of SDW revocation and of the aggregated am.* metrics.
+        #: of SDW revocation.
         self._procs: dict[int, "Process"] = {}
-        #: Associative-memory counters of already-destroyed processes,
-        #: folded in so the aggregate counters stay monotonic.
-        self._am_retired = {"hits": 0, "misses": 0, "invalidations": 0,
-                            "cams": 0}
+        #: Running sums behind the am.* metrics: every tracked process's
+        #: AM feeds them, and a destroyed process's counts stay in, so
+        #: the counters stay monotonic.
+        self.am_totals = AmTotals()
         #: The kernel's user registry (person -> record).
         self.users: dict[str, UserRecord] = {}
         #: Processes created through hcs_$proc_create, keyed by pid.
@@ -165,27 +166,26 @@ class KernelServices:
             "exceptions absorbed at the gate boundary",
             source=lambda: self.supervisor_incidents,
         )
+        am_totals = self.am_totals
         self.metrics.counter(
             "am.hits", "translations resolved by the associative memory",
-            source=self._am_sum("hits"),
+            source=lambda: am_totals.hits,
         )
         self.metrics.counter(
             "am.misses", "references that walked the full check chain",
-            source=self._am_sum("misses"),
+            source=lambda: am_totals.misses,
         )
         self.metrics.counter(
             "am.invalidations", "AM entries cleared by cam events",
-            source=self._am_sum("invalidations"),
+            source=lambda: am_totals.invalidations,
         )
         self.metrics.counter(
             "am.cams", "full clear-associative-memory operations",
-            source=self._am_sum("cams"),
+            source=lambda: am_totals.cams,
         )
         self.metrics.gauge(
             "am.entries", "cached translations across live processes",
-            source=lambda: sum(
-                len(p.dseg.am) for p in self._procs.values()
-            ),
+            source=lambda: am_totals.entries,
         )
         # The metering plane's coverage denominator: every charging
         # site's own total, read from the side opposite the buckets.
@@ -224,12 +224,6 @@ class KernelServices:
             return None
         breaches = self.health.to_rows() if self.health is not None else None
         return self.timeline.to_doc(breaches=breaches)
-
-    def _am_sum(self, attr: str):
-        """Aggregate one AM counter over live and retired processes."""
-        return lambda: self._am_retired[attr] + sum(
-            getattr(p.dseg.am, attr) for p in self._procs.values()
-        )
 
     def _build_io(self) -> None:
         """Create the peripheral inventory and the network attachment."""
@@ -315,6 +309,7 @@ class KernelServices:
         if process.pid not in self._procs:
             self._procs[process.pid] = process
             process.dseg.am.capacity = self.config.am_entries
+            self.am_totals.bind(process.dseg.am)
             self.meters.track(process)
 
     def drop_pstate(self, process: "Process") -> None:
@@ -325,12 +320,11 @@ class KernelServices:
         tracked = self._procs.pop(process.pid, None)
         if tracked is not None:
             # Address-space teardown: fire cam so nothing cached for
-            # this descriptor segment can ever be honoured again, then
-            # fold the counters so the aggregates stay monotonic.
+            # this descriptor segment can ever be honoured again.  The
+            # AM's counts, that cam included, stay in the totals.
             am = tracked.dseg.am
             am.cam()
-            for attr in self._am_retired:
-                self._am_retired[attr] += getattr(am, attr)
+            self.am_totals.unbind(am)
 
     def revoke_branch_access(self, branch) -> int:
         """Propagate an ACL or brackets change to every live SDW of the

@@ -24,8 +24,14 @@ cycles.  The boundaries feed the meters:
 * :meth:`Meters.note_execution` — one ``CPU.execute`` run, attributing
   the cycle/AM/walk/crossing deltas to the executing context;
 * :meth:`Meters.fold` — process destruction, folding the live fields
-  into the bucket so aggregates stay monotonic (the ``_am_retired``
-  pattern).
+  into the bucket so aggregates stay monotonic.
+
+Each boundary also bumps one running-total bucket, the sum of every
+per-process bucket, so the ``meter.*`` sources read a handful of
+integers instead of adding up every bucket at each read (the timeline
+sampler reads every source at every interval).  Only the live
+processes' own ``cpu_cycles`` and ``fault_wait_cycles`` are still
+summed, because those fields are charged outside this module.
 
 The attribution *coverage* invariant is the point of the whole layer:
 ``attributed_cycles()`` (everything landed in some process bucket) over
@@ -118,6 +124,8 @@ class Meters:
         self._live: dict[int, "Process"] = {}
         #: pid -> bucket; buckets are never removed, only folded.
         self._buckets: dict[int, ProcessMeter] = {}
+        #: The sum of every bucket, kept up to date by the boundaries.
+        self._total = ProcessMeter(0, "total")
         #: gate name -> meter.
         self._gates: dict[str, GateMeter] = {}
         #: cpu id -> per-CPU bucket (fed by the SMP complex's slices).
@@ -170,10 +178,13 @@ class Meters:
         live = self._live.pop(process.pid, None)
         if live is None:
             return
-        bucket = self._buckets[process.pid]
+        bucket, total = self._buckets[process.pid], self._total
         bucket.folded_cpu_cycles += live.cpu_cycles
+        total.folded_cpu_cycles += live.cpu_cycles
         bucket.folded_fault_wait_cycles += live.fault_wait_cycles
+        total.folded_fault_wait_cycles += live.fault_wait_cycles
         bucket.folded_page_faults += live.page_faults
+        total.folded_page_faults += live.page_faults
 
     def note_gate(self, process: "Process", gate: str, cycles: int,
                   crossed: bool = False) -> None:
@@ -181,11 +192,14 @@ class Meters:
         if not self.enabled:
             return
         self.track(process)
-        bucket = self._buckets[process.pid]
+        bucket, total = self._buckets[process.pid], self._total
         bucket.gate_entries += 1
+        total.gate_entries += 1
         bucket.gate_cycles += cycles
+        total.gate_cycles += cycles
         if crossed:
             bucket.ring_crossings += 1
+            total.ring_crossings += 1
         meter = self._gates.get(gate)
         if meter is None:
             meter = self._gates[gate] = GateMeter(gate)
@@ -198,6 +212,7 @@ class Meters:
             return
         self.track(process)
         self._buckets[process.pid].gate_denials += 1
+        self._total.gate_denials += 1
         meter = self._gates.get(gate)
         if meter is None:
             meter = self._gates[gate] = GateMeter(gate)
@@ -219,10 +234,15 @@ class Meters:
             )
             if hasattr(ctx, "cpu_cycles"):
                 self._live.setdefault(pid, ctx)
+        total = self._total
         bucket.exec_cycles += cycles
+        total.exec_cycles += cycles
         bucket.am_hit_cycles += am_hit_cycles
+        total.am_hit_cycles += am_hit_cycles
         bucket.walk_cycles += walk_cycles
+        total.walk_cycles += walk_cycles
         bucket.ring_crossings += crossings
+        total.ring_crossings += crossings
 
     def note_cpu_slice(self, cpu_id: int, busy: int, stall: int,
                        jobs: int = 0) -> None:
@@ -274,8 +294,14 @@ class Meters:
     # -- totals and coverage --------------------------------------------
 
     def attributed_cycles(self) -> int:
-        """Cycles landed in some per-process bucket (the numerator)."""
-        return sum(self.process_attributed(pid) for pid in self._buckets)
+        """Cycles landed in some per-process bucket (the numerator):
+        :meth:`process_attributed` summed over every bucket, read from
+        the running total plus the live processes' own fields."""
+        total = self._total
+        return (total.folded_cpu_cycles + total.folded_fault_wait_cycles
+                + total.exec_cycles
+                + sum([p.cpu_cycles + p.fault_wait_cycles
+                       for p in self._live.values()]))
 
     def total_cycles(self) -> int:
         """Cycles any charging site recorded (the denominator):
@@ -296,10 +322,7 @@ class Meters:
         total = self.total_cycles()
         return self.attributed_cycles() / total if total else 1.0
 
-    # -- aggregates over buckets (registry sources) ---------------------
-
-    def _sum(self, attr: str) -> int:
-        return sum(getattr(b, attr) for b in self._buckets.values())
+    # -- registry sources ------------------------------------------------
 
     def register_metrics(self, registry) -> None:
         """Expose the plane under ``meter.*`` in the shared registry."""
@@ -318,27 +341,27 @@ class Meters:
         )
         registry.counter(
             "meter.exec_cycles", "CPU execution cycles attributed",
-            source=lambda: self._sum("exec_cycles"),
+            source=lambda: self._total.exec_cycles,
         )
         registry.counter(
             "meter.am_hit_cycles", "attributed AM-hit translation cycles",
-            source=lambda: self._sum("am_hit_cycles"),
+            source=lambda: self._total.am_hit_cycles,
         )
         registry.counter(
             "meter.walk_cycles", "attributed full-walk translation cycles",
-            source=lambda: self._sum("walk_cycles"),
+            source=lambda: self._total.walk_cycles,
         )
         registry.counter(
             "meter.ring_crossings", "attributed ring transitions",
-            source=lambda: self._sum("ring_crossings"),
+            source=lambda: self._total.ring_crossings,
         )
         registry.counter(
             "meter.gate_entries", "attributed supervisor gate entries",
-            source=lambda: self._sum("gate_entries"),
+            source=lambda: self._total.gate_entries,
         )
         registry.counter(
             "meter.gate_denials", "attributed refused gate calls",
-            source=lambda: self._sum("gate_denials"),
+            source=lambda: self._total.gate_denials,
         )
         registry.gauge(
             "meter.processes", "processes with a metering bucket",
@@ -375,7 +398,7 @@ class Meters:
         attributed = self.attributed_cycles()
         busy = self._busy_cycles()
         gates = self._gate_cycles()
-        execu = self._sum("exec_cycles")
+        execu = self._total.exec_cycles
         waits = self._fault_wait()
 
         def pct(n: int) -> str:
@@ -390,7 +413,7 @@ class Meters:
             f"    cpu execution           {execu:>12}  {pct(execu)}",
             f"    page-fault waits        {waits:>12}  {pct(waits)}",
             f"    am hits / walks         "
-            f"{self._sum('am_hit_cycles'):>6} / {self._sum('walk_cycles')}",
+            f"{self._total.am_hit_cycles:>6} / {self._total.walk_cycles}",
         ]
         return "\n".join(lines)
 

@@ -26,6 +26,16 @@ pays **zero** extra cost for being observable; only ``snapshot()``
 pays, and only when called.  Low-frequency sites may instead increment
 a source-less instrument directly.
 
+Second rule: a source must cost O(1) in the population.  The timeline
+sampler reads every source at every interval, so a source that adds
+up one value per process turns sampling into the run's largest cost
+at a few thousand processes.  Where a metric is a sum over processes,
+keep a running total bumped where the per-process values change (the
+``am.*`` sources read :class:`repro.hw.assoc.AmTotals`, the ``meter.*``
+sources the metering plane's total bucket).  The one exception is the
+metering plane's pass over live processes' own cycle fields, which
+are charged outside it.
+
 Naming scheme: lowercase dotted paths, ``<subsystem>.<metric>`` —
 ``sched.dispatches``, ``pc.faults_serviced``, ``mem.core.allocations``,
 ``io.buffer.overwrites``, ``faults.recovered``, ``gate.cycles``.
