@@ -43,7 +43,7 @@ FRAMES = dict(page_size=16, core_frames=16384, bulk_frames=32768,
 
 
 def _config():
-    return kernel_config(fast_path=True, **FRAMES)
+    return kernel_config(**FRAMES)
 
 
 def sharded_run(n_users: int, n_shards: int, mode: str = "auto",

@@ -98,8 +98,8 @@ OVERHEAD_ORDER = (False, True, True, False) * 2
 
 
 def _config(timeline=None, audit_level="all"):
-    return kernel_config(fast_path=True, audit_level=audit_level,
-                         timeline=timeline, **FRAMES)
+    return kernel_config(audit_level=audit_level, timeline=timeline,
+                         **FRAMES)
 
 
 def _timeline_spec(capacity=1024, interval=INTERVAL):

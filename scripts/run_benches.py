@@ -260,10 +260,9 @@ def main(argv: list[str]) -> int:
     if e18 is not None:
         scale = "10k" if "users_10k" in e18 else "1k"
         print(f"  workload: {e18.get('users_10k', e18['users_1k'])} users  "
-              f"fast-path wall x{e18['wall_speedup_1k']}  "
               f"{e18[f'cycles_per_sec_{scale}']:.0f} cycles/s  "
               f"{e18[f'users_per_sec_{scale}']:.1f} users/s  "
-              f"equivalent {e18['equivalent']}")
+              f"1k digest equivalent {e18['equivalent']}")
     if e19 is not None:
         big = (f"  100k-user leg: {e19['users_per_sec_100k']:.1f} users/s "
                f"over {e19['shards_100k']} shards ({e19['mode_100k']})"

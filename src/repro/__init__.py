@@ -55,8 +55,12 @@ __all__ = [
 
 def legacy_config(**overrides) -> SystemConfig:
     """The historical 'before' configuration: 645 software rings,
-    sequential page control, circular buffers, in-kernel everything."""
-    config = SystemConfig(
+    sequential page control, circular buffers, in-kernel everything.
+
+    Overrides are :class:`SystemConfig` fields; an unknown key raises
+    ``TypeError``.
+    """
+    legacy = dict(
         supervisor=SupervisorKind.LEGACY,
         ring_mode=RingMode.SOFTWARE_645,
         page_control=PageControlKind.SEQUENTIAL,
@@ -65,15 +69,14 @@ def legacy_config(**overrides) -> SystemConfig:
         interrupts=InterruptKind.IN_PROCESS,
         clear_freed_frames=False,
     )
-    for key, value in overrides.items():
-        setattr(config, key, value)
-    return config
+    return SystemConfig(**{**legacy, **overrides})
 
 
 def kernel_config(**overrides) -> SystemConfig:
     """The paper's 'after' configuration: the security kernel on 6180
-    hardware rings with every simplification applied."""
-    config = SystemConfig()
-    for key, value in overrides.items():
-        setattr(config, key, value)
-    return config
+    hardware rings with every simplification applied.
+
+    Overrides are :class:`SystemConfig` fields; an unknown key raises
+    ``TypeError``.
+    """
+    return SystemConfig(**overrides)

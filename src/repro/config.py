@@ -142,14 +142,10 @@ class SystemConfig:
     bulk_frames: int = 128
     #: Page records of disk.
     disk_frames: int = 4096
-    #: Physical processors.
+    #: Physical processors: the traffic controller's processor slots
+    #: and, by default, the CPUs of the SMP execution complex
+    #: (repro.hw.smp).
     n_processors: int = 2
-    #: Physical CPUs of the SMP execution complex (repro.hw.smp).  None
-    #: means "same as n_processors", keeping the two views of the
-    #: hardware — the traffic controller's processor slots and the
-    #: instruction-executing CPU complex — in step unless a bench pulls
-    #: them apart deliberately.
-    n_cpus: int | None = None
     #: Fixed number of level-1 virtual processors (paper: "a larger fixed
     #: number of virtual processors").  Must leave room for the
     #: permanently dedicated kernel processes (two page-control freers
@@ -167,15 +163,6 @@ class SystemConfig:
     #: reintroduces the classic "residue" security flaw, used by the
     #: penetration benches.
     clear_freed_frames: bool = True
-
-    #: Whether the hot cores run their precomputed fast paths: the
-    #: discrete-event engine's delay-0 FIFO bucket (repro.hw.clock) and
-    #: the CPU's inlined interpreter loop with decoded instructions and
-    #: inlined AM probes (repro.hw.cpu).  Architectural results —
-    #: grant/deny traces, cycle charges, the final clock — are
-    #: byte-identical on or off (bench E18's equivalence leg); only
-    #: wall-clock speed changes.  Off is the pre-refactor core.
-    fast_path: bool = True
 
     #: Whether references consult the per-process associative memory
     #: (the 6180 SDW/PTW AM, repro.hw.assoc).  Off re-walks the full
@@ -204,12 +191,6 @@ class SystemConfig:
     #: service when next freed (graceful degradation).
     frame_retire_threshold: int = 3
 
-    #: Opt-in wall-clock profiling of the workload driver: wrap
-    #: :meth:`repro.workloads.WorkloadDriver.run` in :mod:`cProfile`
-    #: and attach a top-N cumulative dump to the report.  Purely a
-    #: wall-clock instrument — simulated results are identical on or
-    #: off; it exists to pick the next hot-path optimization target.
-    profiling: bool = False
     #: Enable the observability tracer (repro.obs.tracer).  Off by
     #: default: a disabled tracer costs one flag check per emitting
     #: site and zero simulated cycles.
@@ -233,10 +214,6 @@ class SystemConfig:
 
     costs: CostModel = field(default_factory=CostModel)
 
-    def cpu_count(self) -> int:
-        """Physical CPUs in the SMP execution complex."""
-        return self.n_processors if self.n_cpus is None else self.n_cpus
-
     def cross_ring_penalty(self) -> int:
         """Extra cycles a cross-ring call costs under the configured rings."""
         if self.ring_mode is RingMode.SOFTWARE_645:
@@ -255,10 +232,7 @@ class SystemConfig:
             raise ValueError("disk smaller than bulk store is not supported")
         if self.n_processors < 1:
             raise ValueError("need at least one processor")
-        if self.n_cpus is not None and self.n_cpus < 1:
-            raise ValueError("need at least one CPU")
-        if self.n_virtual_processors < max(self.n_processors,
-                                           self.cpu_count()):
+        if self.n_virtual_processors < self.n_processors:
             raise ValueError("need at least one virtual processor per CPU")
         if self.quantum <= 0:
             raise ValueError("quantum must be positive")

@@ -75,7 +75,7 @@ _BY_UID: dict[int, "weakref.WeakSet[AssociativeMemory]"] = {}
 def fetch_key(segno: int, ring: int) -> tuple:
     """The cache key of a fetch-legality entry.
 
-    Public so the CPU's fast interpreter can test membership in the
+    Public so the CPU's interpreter can test membership in the
     entry table directly without reconstructing the private intent
     sentinel; :meth:`AssociativeMemory.fetch_probe` remains the
     counting lookup.

@@ -7,14 +7,14 @@ time).  The process layer (:mod:`repro.proc.scheduler`) builds
 generator-coroutine multiprogramming on top of this engine; devices use
 it directly to model transfer latencies.
 
-Fast path (on by default, ``SystemConfig.fast_path``): the scheduler
-dispatches almost everything at delay 0, so the common case is an event
-whose time is *now*.  Those events go to a FIFO bucket instead of the
-heap — they are already in ``(time, seq)`` order, because the clock is
-monotonic and the sequence counter is shared — and :meth:`step`
-/:meth:`run` pick whichever of bucket head and heap root is earliest.
-Event execution order is therefore **identical** with the fast path on
-or off; only the heap traffic changes.
+The scheduler dispatches almost everything at delay 0, so the common
+case is an event whose time is *now*.  Those events go to a FIFO bucket
+instead of the heap — they are already in ``(time, seq)`` order,
+because the clock is monotonic and the sequence counter is shared — and
+:meth:`Simulator.step`/:meth:`Simulator.run` pick whichever of bucket
+head and heap root is earliest.  Events therefore run in exactly
+``(time, seq)`` order, as if every event sat in one heap; the bucket
+only saves the heap traffic.
 """
 
 from __future__ import annotations
@@ -62,17 +62,13 @@ class Simulator:
 
     Events are ``(time, seq, fn)`` triples; ``seq`` makes ordering
     deterministic for simultaneous events.  Delay-0 events live in a
-    FIFO bucket (see module docstring) when the fast path is on; all
-    others in a heap.
+    FIFO bucket (see module docstring); all others in a heap.
     """
 
-    __slots__ = ("clock", "fast_path", "_queue", "_bucket", "_seq",
-                 "_events_run")
+    __slots__ = ("clock", "_queue", "_bucket", "_seq", "_events_run")
 
-    def __init__(self, clock: Clock | None = None,
-                 fast_path: bool = True) -> None:
+    def __init__(self, clock: Clock | None = None) -> None:
         self.clock = clock or Clock()
-        self.fast_path = fast_path
         self._queue: list[tuple[int, int, Callable[[], None]]] = []
         #: Delay-0 events, already sorted by (time, seq): the clock is
         #: monotonic and seq strictly increases across both stores.
@@ -84,7 +80,7 @@ class Simulator:
         """Run ``fn`` ``delay`` cycles from now."""
         if delay < 0:
             raise ValueError("cannot schedule in the past")
-        if delay == 0 and self.fast_path:
+        if delay == 0:
             self._bucket.append((self.clock._now, next(self._seq), fn))
             return
         heapq.heappush(

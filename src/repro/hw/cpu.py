@@ -93,11 +93,11 @@ class CodeSegment:
     ``entry_points`` names the public entries (offset -> name) used by
     gates and by the linker's definitions section.
 
-    The fast interpreter (:meth:`CPU.stepper` with ``fast_path``)
-    caches a decoded form of ``instructions`` — plain
-    ``(opcode, a, b, c)`` int tuples — on the segment, so a program
-    shared by thousands of processes decodes once.  The cache is
-    invalidated whenever the instruction list is replaced or resized.
+    The interpreter (:meth:`CPU.stepper`) caches a decoded form of
+    ``instructions`` — plain ``(opcode, a, b, c)`` int tuples — on the
+    segment, so a program shared by thousands of processes decodes
+    once.  The cache is invalidated whenever the instruction list is
+    replaced or resized.
     """
 
     instructions: list[Instruction]
@@ -110,7 +110,7 @@ class CodeSegment:
         return len(self.instructions)
 
 
-#: Op -> small-int opcode, in declaration order; the fast interpreter
+#: Op -> small-int opcode, in declaration order; the interpreter
 #: dispatches on these instead of enum identity.
 _OPCODE = {op: i for i, op in enumerate(Op)}
 
@@ -146,7 +146,7 @@ _POP = _OPCODE[Op.POP]
 _SWAP = _OPCODE[Op.SWAP]
 
 
-#: "No cycle target": the fast interpreter runs to completion.
+#: "No cycle target": the interpreter runs to completion.
 _NO_TARGET = float("inf")
 
 
@@ -227,7 +227,6 @@ class CPU:
         meters=None,
         cpu_id: int = 0,
         private_am: AssociativeMemory | None = None,
-        fast_path: bool = False,
     ) -> None:
         self.core = core
         self.costs = costs
@@ -244,12 +243,6 @@ class CPU:
         self.meters = meters
         #: Which CPU of the complex this is (0 on a uniprocessor).
         self.cpu_id = cpu_id
-        #: Run the inlined interpreter loop (decoded instructions,
-        #: inlined AM probes, hoisted attribute chains).  Cycle charges,
-        #: counters, and fault behaviour are byte-identical to the
-        #: classic loop — bench E18's equivalence leg holds the two
-        #: against each other.
-        self.fast_path = fast_path
         #: A per-CPU associative memory, as on the real 6180 where the
         #: AM is processor hardware, not process state.  When set, it is
         #: used *instead of* the per-process ``ctx.dseg.am`` and cleared
@@ -350,16 +343,6 @@ class CPU:
                 self.walk_cycles += self.costs.translate_walk
                 self._service_page_fault(ctx, fault)
 
-    def _read(self, ctx: MachineContext, segno: int, offset: int) -> int:
-        frame, word = self._translate(ctx, segno, offset, Intent.READ)
-        self.cycles += self.costs.core_access
-        return self.core.read(frame, word)
-
-    def _write(self, ctx: MachineContext, segno: int, offset: int, value: int) -> None:
-        frame, word = self._translate(ctx, segno, offset, Intent.WRITE)
-        self.cycles += self.costs.core_access
-        self.core.write(frame, word, value)
-
     def _service_page_fault(self, ctx: MachineContext, fault: MissingPageFault) -> None:
         if self.on_missing_page is None:
             raise fault
@@ -424,188 +407,41 @@ class CPU:
         args: list[int] | None = None,
         max_instructions: int = 1_000_000,
     ):
-        """A resumable execution: a generator returning the program's
-        result via StopIteration.
+        """The interpreter: a resumable execution, as a generator
+        returning the program's result via StopIteration.
 
-        This is the SMP complex's hook: it advances each CPU's runner a
-        bounded number of cycles per lockstep round, giving a
+        This is also the SMP complex's hook: it advances each CPU's
+        runner a bounded number of cycles per lockstep round, giving a
         deterministic interleaving on the simulated clock.  Unlike
         :meth:`execute`, no metering wrap is applied — the complex
         attributes cycles itself, per slice.
 
         Protocol: the first ``next()`` runs entry setup and parks before
         the first instruction.  After that the driver advances it with
-        ``send(target)`` — the classic loop yields before *every*
-        instruction (``send`` ≡ ``next``, the value is ignored), while
-        the fast loop runs instructions until
-        ``cycles + stall_cycles >= target`` and only then yields.
+        ``send(target)``: instructions run until
+        ``cycles + stall_cycles >= target`` (tested before each
+        instruction) and only then does the generator yield.
         ``send(None)`` (what plain ``next()`` does) means "no target":
-        the fast loop runs to completion.  Instruction boundaries are
-        identical either way because both loops test the same condition
-        before each instruction.
-        """
-        if self.fast_path:
-            return self._run_fast(ctx, segno, entry, args, max_instructions)
-        return self._run(ctx, segno, entry, args, max_instructions)
+        the program runs to completion.
 
-    def _run(
-        self,
-        ctx: MachineContext,
-        segno: int,
-        entry: int = 0,
-        args: list[int] | None = None,
-        max_instructions: int = 1_000_000,
-    ):
-        code = ctx.code_segment(segno)
-        # Instruction fetch legality for the *initial* transfer: treat it
-        # like a call from the current ring.
-        sdw = ctx.dseg.get(segno)
-        new_ring = call_check(sdw.brackets, ctx.ring, entry, sdw.gates)
-        self.cycles += call_cost(self.costs, self.ring_mode, ctx.ring, new_ring)
-        self._count_call(ctx.ring, new_ring)
-
-        stack: list[int] = []
-        frames: list[_Frame] = [
-            _Frame(-1, -1, ctx.ring, list(args or []), 0)
-        ]
-        ctx.ring = new_ring
-        pc = entry
-        executed = 0
-        am = self._am_for(ctx)
-
-        while True:
-            yield
-            if executed >= max_instructions:
-                raise ExecutionLimit(
-                    f"exceeded {max_instructions} instructions"
-                )
-            if not 0 <= pc < len(code.instructions):
-                raise IllegalInstruction(
-                    f"pc {pc} outside code segment {segno}"
-                )
-            # Instruction fetch check: the executing ring must still be
-            # allowed to execute this segment.  The AM caches the
-            # decision per (segno, ring); every invalidation that could
-            # change it (SDW swap, revocation, teardown) clears it.
-            if am is not None and am.fetch_probe(segno, ctx.ring):
-                self.cycles += self.costs.am_hit
-                self.am_hit_cycles += self.costs.am_hit
-            else:
-                sdw = ctx.dseg.get(segno)
-                check_access(sdw, ctx.ring, Intent.FETCH)
-                self.cycles += self.costs.translate_walk
-                self.walk_cycles += self.costs.translate_walk
-                if am is not None:
-                    am.fetch_insert(segno, ctx.ring, sdw.uid)
-
-            inst = code.instructions[pc]
-            pc += 1
-            executed += 1
-            self.instructions_executed += 1
-            self.cycles += self.costs.instruction
-            op = inst.op
-
-            if op is Op.PUSHI:
-                stack.append(inst.a)
-            elif op is Op.LOAD:
-                stack.append(self._read(ctx, inst.a, inst.b))
-            elif op is Op.STORE:
-                self._write(ctx, inst.a, inst.b, self._pop(stack))
-            elif op is Op.LOADI:
-                offset = self._pop(stack)
-                stack.append(self._read(ctx, inst.a, offset))
-            elif op is Op.STOREI:
-                offset = self._pop(stack)
-                value = self._pop(stack)
-                self._write(ctx, inst.a, offset, value)
-            elif op is Op.LOADF:
-                frame = frames[-1]
-                self._check_slot(frame, inst.a)
-                stack.append(frame.slots[inst.a])
-            elif op is Op.STOREF:
-                frame = frames[-1]
-                self._check_slot(frame, inst.a, grow=True)
-                frame.slots[inst.a] = self._pop(stack)
-            elif op in _BINOPS:
-                rhs = self._pop(stack)
-                lhs = self._pop(stack)
-                stack.append(_BINOPS[op](lhs, rhs))
-            elif op is Op.NEG:
-                stack.append(-self._pop(stack))
-            elif op is Op.NOT:
-                stack.append(0 if self._pop(stack) else 1)
-            elif op is Op.DUP:
-                stack.append(stack[-1])
-            elif op is Op.POP:
-                self._pop(stack)
-            elif op is Op.SWAP:
-                stack[-1], stack[-2] = stack[-2], stack[-1]
-            elif op is Op.JMP:
-                pc = inst.a
-            elif op is Op.JZ:
-                if self._pop(stack) == 0:
-                    pc = inst.a
-            elif op is Op.JNZ:
-                if self._pop(stack) != 0:
-                    pc = inst.a
-            elif op is Op.CALL:
-                segno, code, pc = self._do_call(
-                    ctx, frames, stack, segno, pc,
-                    inst.a, inst.b, inst.c,
-                )
-            elif op is Op.CALLL:
-                target = self._resolve_link(ctx, inst.a)
-                segno, code, pc = self._do_call(
-                    ctx, frames, stack, segno, pc,
-                    target[0], target[1], inst.b,
-                )
-            elif op is Op.RET:
-                result = stack.pop() if stack else 0
-                frame = frames.pop()
-                ctx.ring = frame.return_ring
-                if not frames:
-                    return result
-                stack.append(result)
-                segno = frame.return_segno
-                code = ctx.code_segment(segno)
-                pc = frame.return_pc
-            elif op is Op.HALT:
-                return stack[-1] if stack else 0
-            else:  # pragma: no cover - enum is closed
-                raise IllegalInstruction(f"cannot execute {op!r}")
-
-    def _run_fast(
-        self,
-        ctx: MachineContext,
-        segno: int,
-        entry: int = 0,
-        args: list[int] | None = None,
-        max_instructions: int = 1_000_000,
-    ):
-        """The inlined interpreter loop (see :meth:`stepper` for the
-        driving protocol).
-
-        Architecturally identical to :meth:`_run`: same checks in the
-        same order, same cycle charges, same counters, same faults.
-        What changes is the Python: instructions are decoded to int
+        Every instruction fetch passes the FETCH check and every operand
+        reference passes :func:`translate` (rings, bounds, paging), with
+        the translation cost — AM hit or full walk — charged.  The
+        Python is shaped for speed: instructions are decoded to int
         tuples once per code segment, the AM probe and the translate
-        hit case are inlined (any non-hit falls back to the classic
-        :meth:`_translate` *before* touching a counter), cost constants
-        and bound methods are hoisted out of the loop, and the
-        generator suspends once per cycle target instead of once per
-        instruction.
+        hit case are inlined (any non-hit falls back to
+        :meth:`_translate` *before* touching a counter), and cost
+        constants and bound methods are hoisted out of the loop.
 
-        Counter updates are *batched* (the profiling hook's single
-        biggest finding): the pure-hit loop accumulates cycle, hit,
-        and instruction deltas in locals and folds them into the
-        instance counters only at a boundary — a quantum yield, any
-        classic-path excursion (translate walk, fetch miss, call,
-        linkage), a return, or an exception (the ``finally`` below).
-        No event runs and nothing reads the counters between
+        Counter updates are *batched*: the pure-hit loop accumulates
+        cycle, hit, and instruction deltas in locals and folds them into
+        the instance counters only at a boundary — a quantum yield, any
+        excursion out of the inlined paths (translate walk, fetch miss,
+        call, linkage), a return, or an exception (the ``finally``
+        below).  No event runs and nothing reads the counters between
         boundaries, so every *observable* value — what the SMP round
         accounting, the mid-fault virtual clock, the meters, and the
-        snapshot see — is identical to the eager classic loop; only
-        the per-instruction attribute writes disappear.
+        snapshot see — is exact.
         """
         code = ctx.code_segment(segno)
         sdw = ctx.dseg.get(segno)
@@ -663,9 +499,11 @@ class CPU:
                         raise IllegalInstruction(
                             f"pc {pc} outside code segment {segno}"
                         )
-                    # Instruction fetch check (same order and counters
-                    # as AssociativeMemory.fetch_probe + the classic
-                    # walk).
+                    # Instruction fetch check.  The AM caches the
+                    # decision per (segno, ring); every invalidation that
+                    # could change it (SDW swap, revocation, teardown)
+                    # clears it.  Same order and counters as
+                    # AssociativeMemory.fetch_probe + the full walk.
                     if entries is not None:
                         if fkey in entries:
                             hits += 1
@@ -871,6 +709,10 @@ class CPU:
                             )
                         stack.append(0 if stack.pop() else 1)
                     elif op == _DUP:
+                        if not stack:
+                            raise IllegalInstruction(
+                                "operand stack underflow"
+                            )
                         stack.append(stack[-1])
                     elif op == _POP:
                         if not stack:
@@ -879,6 +721,10 @@ class CPU:
                             )
                         stack.pop()
                     elif op == _SWAP:
+                        if len(stack) < 2:
+                            raise IllegalInstruction(
+                                "operand stack underflow"
+                            )
                         stack[-1], stack[-2] = stack[-2], stack[-1]
                     elif op == _CALL:
                         # Boundary: call_cost reads the live counters.
@@ -969,12 +815,6 @@ class CPU:
     # -- helpers -----------------------------------------------------------
 
     @staticmethod
-    def _pop(stack: list[int]) -> int:
-        if not stack:
-            raise IllegalInstruction("operand stack underflow")
-        return stack.pop()
-
-    @staticmethod
     def _check_slot(frame: _Frame, index: int, grow: bool = False) -> None:
         if index < 0:
             raise IllegalInstruction(f"negative frame slot {index}")
@@ -1037,21 +877,6 @@ class CPU:
             if not link.snapped:
                 raise LinkageFault(index, link)
         return link.segno, link.offset
-
-
-_BINOPS = {
-    Op.ADD: lambda a, b: a + b,
-    Op.SUB: lambda a, b: a - b,
-    Op.MUL: lambda a, b: a * b,
-    Op.DIV: lambda a, b: _div(a, b),
-    Op.MOD: lambda a, b: _mod(a, b),
-    Op.EQ: lambda a, b: int(a == b),
-    Op.NE: lambda a, b: int(a != b),
-    Op.LT: lambda a, b: int(a < b),
-    Op.LE: lambda a, b: int(a <= b),
-    Op.GT: lambda a, b: int(a > b),
-    Op.GE: lambda a, b: int(a >= b),
-}
 
 
 def _div(a: int, b: int) -> int:

@@ -151,7 +151,7 @@ class SmpComplex:
         #: Optional repro.obs.timeline.TimelineSampler polled at round
         #: boundaries; reads instruments only, zero simulated cycles.
         self.timeline = timeline
-        self.n_cpus = config.cpu_count() if n_cpus is None else n_cpus
+        self.n_cpus = config.n_processors if n_cpus is None else n_cpus
         if self.n_cpus < 1:
             raise ValueError("need at least one CPU")
         self.cpus: list[CPU] = []
@@ -173,7 +173,6 @@ class SmpComplex:
                 meters=meters,
                 cpu_id=i,
                 private_am=private_am,
-                fast_path=config.fast_path,
             ))
         self._queue: deque[CpuJob] = deque()
         self._running: list[_Slot | None] = [None] * self.n_cpus
@@ -440,11 +439,9 @@ class SmpComplex:
             target = start + quantum
             try:
                 # Drive the stepper protocol: the priming next() runs
-                # entry setup under the same budget condition the old
-                # per-instruction loop applied, then each send(target)
-                # advances to the cycle target — one resume per
-                # instruction for the classic interpreter, one per
-                # round for the fast one.
+                # entry setup only while the slice has budget left,
+                # then one send(target) runs instructions until the
+                # CPU reaches the cycle target or the job ends.
                 gen = slot.gen
                 while cpu.cycles + cpu.stall_cycles < target:
                     if not slot.primed:

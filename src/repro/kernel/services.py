@@ -79,7 +79,7 @@ class KernelServices:
     def __init__(self, config: SystemConfig) -> None:
         config.validate()
         self.config = config
-        self.sim = Simulator(fast_path=config.fast_path)
+        self.sim = Simulator()
         # The observability plane: one registry and one tracer shared by
         # every model built below.  The tracer is off unless the config
         # asks for it; instruments cost nothing until snapshot time.

@@ -83,7 +83,7 @@ class TrafficController:
 
             self.tc_lock = KernelLock("tc")
         self.vpt = VirtualProcessorTable(config.n_virtual_processors)
-        self.processors = [Processor(i) for i in range(config.cpu_count())]
+        self.processors = [Processor(i) for i in range(config.n_processors)]
         self._ready_kernel: deque[Process] = deque()
         self._ready_user: deque[Process] = deque()
         self._vp_wait: deque[Process] = deque()

@@ -246,7 +246,7 @@ class MulticsSystem:
     def cpu_complex(self, n_cpus: int | None = None) -> "SmpComplex":
         """Build the SMP execution complex over this system's kernel.
 
-        ``n_cpus`` defaults to ``config.cpu_count()``.  The complex's
+        ``n_cpus`` defaults to ``config.n_processors``.  The complex's
         CPUs share core memory, page control (under the page-table
         lock), and the traffic-control lock with the rest of the
         system; each has its own associative memory.  Execution is
@@ -543,7 +543,6 @@ class Session:
             metrics=services.metrics,
             tracer=services.tracer,
             meters=services.meters,
-            fast_path=self.system.config.fast_path,
         )
 
     def install_object(self, path: str, obj, n_pages: int | None = None) -> int:

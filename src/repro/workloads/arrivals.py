@@ -3,7 +3,7 @@
 Traffic shaping for the workload driver: a list of non-decreasing
 arrival times (simulated cycles) for ``n`` users.  Both processes are
 pure functions of their seed — same seed, same arrivals — which is what
-lets bench E18 compare fast-path on/off runs byte for byte.
+lets bench E18 hold a run to a digest recorded earlier, byte for byte.
 
 * :func:`poisson_arrivals` — memoryless interactive demand: i.i.d.
   exponential inter-arrival times at a mean rate.

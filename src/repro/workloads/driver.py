@@ -19,9 +19,9 @@ The driver realizes a seeded population against one booted system:
    job completing (queueing included).
 
 Everything is driven off the simulated clock and seeded generators, so
-a run is a pure function of (config, population) — bench E18 leans on
-that to compare the fast-path core against the classic one byte for
-byte.
+a run is a pure function of (config, population) — bench E18 and the
+golden fixtures lean on that to hold a run to a digest recorded
+earlier, byte for byte.
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ class WorkloadReport:
 
     Latencies are simulated cycles from a user's arrival to its burst
     completing; throughput numbers divide by the *wall* seconds the run
-    took, which is what bench E18 compares across interpreter cores.
+    took — bench E18's users/sec and cycles/sec.
     """
 
     users: int = 0
@@ -120,9 +120,6 @@ class WorkloadReport:
     end_clock: int = 0
     wall_seconds: float = 0.0
     latencies: list[int] = field(default_factory=list, repr=False)
-    #: Top-N cProfile dump when ``SystemConfig.profiling`` is on;
-    #: empty otherwise (and then absent from :meth:`to_dict`).
-    profile: str = field(default="", repr=False)
 
     @property
     def elapsed_cycles(self) -> int:
@@ -159,7 +156,7 @@ class WorkloadReport:
         return self.elapsed_cycles / self.wall_seconds
 
     def to_dict(self) -> dict:
-        doc = {
+        return {
             "users": self.users,
             "admitted": self.admitted,
             "login_failures": self.login_failures,
@@ -172,9 +169,6 @@ class WorkloadReport:
             "p50_latency_cycles": self.p50_latency,
             "p95_latency_cycles": self.p95_latency,
         }
-        if self.profile:
-            doc["profile"] = self.profile
-        return doc
 
 
 class WorkloadDriver:
@@ -278,8 +272,8 @@ class WorkloadDriver:
             author.set_acl(path, "*.*", "re")
             author.load_program(segno)
             self._objects[name] = obj
-            # One parsed (and, on the fast path, decoded) image for the
-            # whole population.
+            # One parsed (and, once run, decoded) image for the whole
+            # population.
             self._library[name] = author.process.code_segments[segno]
 
     # -- sessions ---------------------------------------------------------
@@ -340,32 +334,7 @@ class WorkloadDriver:
 
     def run(self, population: list[UserSpec]) -> WorkloadReport:
         """Admit the population in arrival order, run every burst, and
-        report.
-
-        With ``SystemConfig.profiling`` on, the run is wrapped in
-        :mod:`cProfile` and the report carries a top-N cumulative dump
-        — the instrument that picked the batched-counter hot-path
-        round.  Simulated results are identical either way.
-        """
-        if not self.system.config.profiling:
-            return self._run(population)
-        import cProfile
-        import io
-        import pstats
-
-        prof = cProfile.Profile()
-        prof.enable()
-        try:
-            report = self._run(population)
-        finally:
-            prof.disable()
-        out = io.StringIO()
-        stats = pstats.Stats(prof, stream=out)
-        stats.sort_stats("cumulative").print_stats(25)
-        report.profile = out.getvalue()
-        return report
-
-    def _run(self, population: list[UserSpec]) -> WorkloadReport:
+        report."""
         ordered = sorted(population, key=lambda spec: spec.arrival)
         self._ensure_author()  # the library directory must pre-date login
         for spec in ordered:

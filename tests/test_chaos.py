@@ -210,7 +210,7 @@ class TestControllers:
 
 class TestCpuLoss:
     def test_lose_cpu_requeues_job_and_completes_elsewhere(self):
-        system = smp_system(n_cpus=2)
+        system = smp_system(n_processors=2)
         cx = system.cpu_complex(n_cpus=2)
         jobs, _sessions = make_jobs(system, n_jobs=6)
         engine = system.chaos_engine(scenario(
@@ -230,7 +230,7 @@ class TestCpuLoss:
         system.shutdown()
 
     def test_last_cpu_is_never_taken(self):
-        system = smp_system(n_cpus=1)
+        system = smp_system(n_processors=1)
         cx = system.cpu_complex(n_cpus=1)
         engine = system.chaos_engine(scenario(
             timed({"at": 0, "site": CPU_LOSS_SITE, "kind": CPU_LOSS_KIND}),
@@ -253,7 +253,7 @@ class TestCpuLoss:
         system.shutdown()
 
     def test_loss_books_degraded_and_requeue_recovery(self):
-        system = smp_system(n_cpus=2, fault_plan=FaultPlan([], seed=0))
+        system = smp_system(n_processors=2, fault_plan=FaultPlan([], seed=0))
         cx = system.cpu_complex(n_cpus=2)
         jobs, _sessions = make_jobs(system, n_jobs=4)
         engine = system.chaos_engine(scenario(
@@ -269,7 +269,7 @@ class TestCpuLoss:
         system.shutdown()
 
     def test_lose_cpu_guards(self):
-        system = smp_system(n_cpus=2)
+        system = smp_system(n_processors=2)
         cx = system.cpu_complex(n_cpus=2)
         with pytest.raises(ValueError, match="no CPU 7"):
             cx.lose_cpu(7)

@@ -21,7 +21,7 @@ def boot_and_run(n_cpus: int, tracing: bool, metering: bool,
     """One fresh system: gate workload + SMP jobs; returns the
     byte-level artifacts a reproduction would publish."""
     overrides = dict(sizing or {})
-    overrides.update(tracing=tracing, metering=metering, n_cpus=n_cpus)
+    overrides.update(tracing=tracing, metering=metering, n_processors=n_cpus)
     system = smp_system(**overrides)
     system.register_user("Eve", "Spies", "eve-pw")
     standard_workload(system, tag="det")
@@ -107,14 +107,15 @@ STORM = {
 }
 
 
-def storm_run(seed: int):
+def storm_system(seed: int):
     """A chaotic 2-CPU run: SMP jobs under a scenario storm with
-    cross-host traffic sent between rounds."""
+    cross-host traffic sent between rounds.  Returns the system, its
+    jobs and the chaos engine."""
     from repro.faults.plan import FaultPlan, FaultSpec
 
     scenario = dict(STORM, seed=seed)
     system = smp_system(
-        n_cpus=2,
+        n_processors=2,
         topology=STORM_TOPOLOGY,
         fault_plan=FaultPlan(
             [FaultSpec("link.*", "drop", rate=0.05)], seed=seed,
@@ -136,6 +137,11 @@ def storm_run(seed: int):
     system.run()
     assert [j.result for j in jobs] == [96] * 8
     assert engine.applied  # the storm actually fired
+    return system, jobs, engine
+
+
+def storm_run(seed: int):
+    system, _, _ = storm_system(seed)
     return (
         system.metrics.to_json(),
         system.audit_trail.to_json(),

@@ -107,3 +107,88 @@ class TestSimulator:
         assert sim.pending == 2
         sim.step()
         assert sim.pending == 1
+
+
+class TestSimulatorBucket:
+    """Delay-0 events go to a FIFO bucket beside the heap; together the
+    two must run events in exactly (time, seq) order."""
+
+    def run_interleaving(self) -> tuple[list, int, int]:
+        """A mix of delay-0, delayed, and absolute-time events, with
+        events scheduling further delay-0 events while running."""
+        sim = Simulator()
+        order: list[str] = []
+
+        def ev(tag):
+            return lambda: order.append(tag)
+
+        def chain(tag, n):
+            def fire():
+                order.append(tag)
+                if n:
+                    sim.schedule(0, chain(f"{tag}+", n - 1))
+            return fire
+
+        sim.schedule(5, ev("d5"))
+        sim.schedule(0, ev("z1"))
+        sim.schedule_at(0, ev("at0"))   # heap event at the same time
+        sim.schedule(0, chain("z2", 2))
+        sim.schedule(5, ev("d5b"))
+        sim.schedule(2, ev("d2"))
+        sim.run()
+        sim.schedule(0, ev("tail"))
+        pending_mid = sim.pending
+        sim.run()
+        return order, pending_mid, sim.clock.now
+
+    def test_classic_order_is_time_then_seq(self):
+        order, pending_mid, now = self.run_interleaving()
+        assert order == ["z1", "at0", "z2", "z2+", "z2++", "d2",
+                         "d5", "d5b", "tail"]
+        assert pending_mid == 1
+        assert now == 5
+
+    def test_pending_and_clear_cover_the_bucket(self):
+        sim = Simulator()
+        sim.schedule(0, lambda: None)
+        sim.schedule(3, lambda: None)
+        assert sim.pending == 2
+        assert sim.clear_pending() == 2
+        assert sim.pending == 0
+        assert sim.run() is None  # nothing left; no error
+
+    def test_step_picks_earliest_across_bucket_and_heap(self):
+        sim = Simulator()
+        seen = []
+        sim.schedule(0, lambda: seen.append("bucket"))
+        sim.schedule_at(0, lambda: seen.append("heap"))
+        assert sim.step() and sim.step()
+        assert seen == ["bucket", "heap"]  # seq order within time 0
+
+    def test_run_until_stops_before_late_bucketless_event(self):
+        sim = Simulator()
+        seen = []
+        sim.schedule(0, lambda: seen.append("now"))
+        sim.schedule(10, lambda: seen.append("later"))
+        sim.run(until=4)
+        assert seen == ["now"]
+        assert sim.clock.now == 4
+        sim.run()
+        assert seen == ["now", "later"]
+
+    def test_events_run_counted_in_run_loop(self):
+        sim = Simulator()
+        for _ in range(5):
+            sim.schedule(0, lambda: None)
+        sim.run()
+        assert sim.events_run == 5
+
+    def test_event_budget_still_enforced(self):
+        sim = Simulator()
+
+        def again():
+            sim.schedule(0, again)
+
+        sim.schedule(0, again)
+        with pytest.raises(RuntimeError, match="event budget"):
+            sim.run(max_events=50)

@@ -122,6 +122,16 @@ class TestArithmetic:
         with pytest.raises(IllegalInstruction, match="underflow"):
             run([I(Op.ADD), I(Op.HALT)])
 
+    @pytest.mark.parametrize("program", [
+        [I(Op.DUP), I(Op.RET)],
+        [I(Op.SWAP), I(Op.RET)],
+        [I(Op.PUSHI, 1), I(Op.SWAP), I(Op.RET)],
+    ])
+    def test_dup_and_swap_underflow_is_an_illegal_instruction(self, program):
+        with pytest.raises(IllegalInstruction,
+                           match="operand stack underflow"):
+            run(program)
+
 
 class TestControlFlow:
     def test_jumps(self):

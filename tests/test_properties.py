@@ -23,10 +23,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import MulticsSystem, kernel_config, legacy_config
-from repro.errors import KernelDenial, ReproError
+from repro.errors import KernelDenial, ReproError, SegmentFault
 from repro.faults.harness import harness_config, security_decisions
 from repro.faults.plan import FaultPlan, FaultSpec
+from repro.hw.cpu import Instruction, Link, Op
+from repro.hw.rings import kernel_gate_brackets
 from repro.kernel.locks import KernelLock
+
+from tests.test_hw_cpu import Ctx, make_cpu
 
 SEEDS = [7, 19, 1975]
 N_OPS = 40
@@ -299,3 +303,51 @@ def test_specialized_kernel_grants_exactly_the_profiled_intersection(subset):
             assert denied[-1].object == gate
             assert denied[-1].category == "gate"
     assert granted_spec == granted_full & subset
+
+
+# ---------------------------------------------------------------------------
+# Fault containment: a random program returns or raises a ReproError
+# ---------------------------------------------------------------------------
+
+class _ProcessLikeCtx(Ctx):
+    """A context whose missing code faults like a real process's."""
+
+    def code_segment(self, segno):
+        try:
+            return self.codes[segno]
+        except KeyError:
+            raise SegmentFault(segno, f"segment {segno} holds no code") \
+                from None
+
+
+_instructions = st.builds(
+    Instruction,
+    st.sampled_from(list(Op)),
+    st.integers(min_value=-2, max_value=6),
+    st.integers(min_value=-2, max_value=20),
+    st.integers(min_value=0, max_value=2),
+)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(st.lists(_instructions, min_size=1, max_size=8),
+       st.lists(st.integers(min_value=-3, max_value=3), max_size=2))
+def test_random_program_returns_or_raises_a_repro_error(program, args):
+    """Whatever a short program does — underflow the operand stack,
+    call or load through any segment number, jump anywhere, loop — the
+    CPU either returns a value or raises a :class:`ReproError` the
+    supervisor can contain.  No Python exception may escape."""
+    ctx = _ProcessLikeCtx()
+    ctx.add_code(1, program)
+    ctx.add_data(2)
+    ctx.add_code(3, [Instruction(Op.PUSHI, 1), Instruction(Op.RET)],
+                 brackets=kernel_gate_brackets(), gates=frozenset({0}))
+    ctx.add_data(4, in_core=False)
+    ctx.links = [Link("gate$entry", snapped=True, segno=3, offset=0),
+                 Link("missing$entry")]
+    cpu = make_cpu()
+    cpu.core.allocate()  # frame 0 backs segment 2's page
+    try:
+        cpu.execute(ctx, 1, 0, args, max_instructions=64)
+    except ReproError:
+        pass

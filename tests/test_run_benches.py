@@ -58,7 +58,7 @@ def _scaled_bench_stubs(rb, monkeypatch, seen):
     def fake_e18(quick=False):
         seen["E18"] = quick
         return {
-            "users_1k": 1, "equivalent": True, "wall_speedup_1k": 1.0,
+            "users_1k": 1, "equivalent": True,
             "users_per_sec_1k": 1.0, "cycles_per_sec_1k": 1.0,
         }, rb._boot_snapshot()
 

@@ -120,8 +120,8 @@ def source_values(services: KernelServices) -> dict:
 # ---------------------------------------------------------------------------
 
 class Rig:
-    """A small kernel substrate, a few processes, and one fast-path CPU
-    whose references go through each process's own AM."""
+    """A small kernel substrate, a few processes, and one CPU whose
+    references go through each process's own AM."""
 
     def __init__(self) -> None:
         self.services = KernelServices(kernel_config(
@@ -131,7 +131,7 @@ class Rig:
         for _ in range(N_FRAMES):
             core.allocate()
         self.cpu = CPU(core, CostModel(), RingMode.HARDWARE_6180, PAGE,
-                       meters=self.services.meters, fast_path=True)
+                       meters=self.services.meters)
         self.ptws = [PTW(in_core=True, frame=1 + i) for i in range(N_PTWS)]
         self.procs = [self._process(i) for i in range(N_PROCS)]
         #: AM counts of destroyed processes: the old ``_am_retired``.

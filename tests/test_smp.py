@@ -10,7 +10,7 @@ page-fault traffic against shared page control.
 import pytest
 
 from repro import MulticsSystem
-from repro.errors import BoundsViolation
+from repro.errors import BoundsViolation, IllegalInstruction
 from repro.faults.harness import harness_config
 from repro.hw.cpu import Instruction as I, Op
 from repro.kernel.locks import KernelLock, LockTable
@@ -217,6 +217,29 @@ class TestComplex:
         assert cx.jobs_completed == 4
         assert not cx.busy
 
+    @pytest.mark.parametrize("code", [
+        [I(Op.DUP), I(Op.RET)],
+        [I(Op.PUSHI, 1), I(Op.SWAP), I(Op.RET)],
+    ])
+    def test_stack_underflow_is_contained(self, code):
+        """DUP/SWAP on a short operand stack is an illegal instruction:
+        the job dies, the jobs queued behind it still complete."""
+        system = smp_system()
+        jobs, _ = make_jobs(system, n_jobs=3)
+        session = system.login("Alice", "Crypto", "alice-pw")
+        bad = ObjectSegment("short", code=code, definitions={"main": 0})
+        segno = session.install_object("short", bad)
+        bad_job = session.program_job(segno)
+        cx = system.cpu_complex(n_cpus=2)
+        cx.run_jobs([bad_job] + jobs)
+        assert isinstance(bad_job.error, IllegalInstruction)
+        assert bad_job.result is None
+        assert [j.result for j in jobs] == [96] * 3
+        assert cx.jobs_failed == 1
+        assert not cx.busy
+        with pytest.raises(IllegalInstruction, match="underflow"):
+            session.run_program(segno)
+
     def test_private_am_cams_between_processes(self):
         """Connecting a CPU to a different descriptor segment cams its
         private AM (the AM is processor hardware, not process state)."""
@@ -289,12 +312,13 @@ class TestComplex:
             cx.run(quantum=0)
 
     def test_n_cpus_config_defaults(self):
+        """The complex has ``n_processors`` CPUs unless the caller
+        asks for another count."""
         from repro.config import SystemConfig
 
-        config = SystemConfig()
-        assert config.cpu_count() == config.n_processors
-        config.n_cpus = 4
-        assert config.cpu_count() == 4
-        config.n_cpus = 0
+        system = smp_system(n_processors=2)
+        assert system.cpu_complex().n_cpus == 2
+        assert len(system.services.scheduler.processors) == 2
+        assert system.cpu_complex(n_cpus=1).n_cpus == 1
         with pytest.raises(ValueError):
-            config.validate()
+            SystemConfig(n_processors=0).validate()

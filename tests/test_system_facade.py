@@ -243,3 +243,14 @@ class TestBothSupervisorsAgree:
 
     def test_identical_results(self, kernel_system, legacy_system):
         assert self.workload(kernel_system) == self.workload(legacy_system)
+
+
+class TestConfigBuilders:
+    @pytest.mark.parametrize("builder", ["kernel_config", "legacy_config"])
+    def test_unknown_key_rejected(self, builder):
+        """A misspelt or removed knob must fail loudly, not boot a
+        system with the default it meant to override."""
+        import repro
+
+        with pytest.raises(TypeError, match="core_frame"):
+            getattr(repro, builder)(core_frame=8)

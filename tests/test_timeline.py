@@ -420,7 +420,7 @@ class TestMergeTimelines:
 
 class TestCpuRestore:
     def test_restore_guards(self):
-        system = smp_system(n_cpus=2)
+        system = smp_system(n_processors=2)
         cx = system.cpu_complex(n_cpus=2)
         with pytest.raises(ValueError, match="no CPU 7"):
             cx.restore_cpu(7)
@@ -429,7 +429,7 @@ class TestCpuRestore:
         system.shutdown()
 
     def test_lose_then_restore_round_trips(self):
-        system = smp_system(n_cpus=2)
+        system = smp_system(n_processors=2)
         cx = system.cpu_complex(n_cpus=2)
         cx.lose_cpu(1)
         assert cx.online_count() == 1
@@ -441,7 +441,7 @@ class TestCpuRestore:
         system.shutdown()
 
     def test_scenario_loss_and_restore_complete_all_jobs(self):
-        system = smp_system(n_cpus=2)
+        system = smp_system(n_processors=2)
         cx = system.cpu_complex(n_cpus=2)
         jobs, _sessions = make_jobs(system, n_jobs=6)
         engine = system.chaos_engine(scenario(
@@ -465,7 +465,7 @@ class TestCpuRestore:
         system.shutdown()
 
     def test_restore_with_everything_online_is_skipped(self):
-        system = smp_system(n_cpus=2)
+        system = smp_system(n_processors=2)
         cx = system.cpu_complex(n_cpus=2)
         engine = system.chaos_engine(scenario(
             timed({"at": 0, "site": CPU_RESTORE_SITE,
@@ -478,7 +478,7 @@ class TestCpuRestore:
         system.shutdown()
 
     def test_restore_without_complex_raises(self):
-        system = smp_system(n_cpus=2)
+        system = smp_system(n_processors=2)
         engine = system.chaos_engine(scenario(
             timed({"at": 0, "site": CPU_RESTORE_SITE,
                    "kind": CPU_RESTORE_KIND}),
