@@ -8,10 +8,10 @@ through the SMP complex (:mod:`repro.workloads`).
 Measured: wall-clock throughput (simulated cycles/sec and admitted
 users/sec) at 1k and 10k users — guarded by an equivalence leg: the 1k
 run's grant/deny audit trace, final simulated clock and metrics
-snapshot must hash to :data:`DIGEST_1K`.  That digest was recorded
-while the simulator still carried a second, classic interpreter core,
-and both cores produced it byte for byte.  The throughput numbers are
-only citable because the run is still that computation.
+snapshot must hash to :data:`DIGEST_1K`.  The throughput numbers are
+only citable because the run is still that computation.  The audit is
+a bounded ring, so the run sizes it (:data:`AUDIT_CAPACITY`) to hold
+the 1k run's 12,095 records whole.
 """
 
 import hashlib
@@ -31,15 +31,22 @@ N_CPUS = 2
 FRAMES = dict(page_size=16, core_frames=16384, bulk_frames=32768,
               disk_frames=65536)
 
-#: :func:`identity_digest` of the 1k-user run at :data:`SEED`.
-DIGEST_1K = "8138099c9cf5dc774f44952135fe995dcc3c4f630c8cfbaf6d4d44c625331fd3"
+#: Audit ring capacity: room for every record the 1k run makes.
+AUDIT_CAPACITY = 16_384
+
+#: :func:`identity_digest` of the 1k-user run at :data:`SEED`, recorded
+#: while the audit still kept a second, unbounded record list beside
+#: the ring (at this capacity the two held the same trace).
+DIGEST_1K = "a6652d06806545a2f202570ef8af7f85d7e9d4b6e7096d33ea0a6a7e3abbb6d9"
 
 
 def workload_run(n_users: int, seed: int = SEED) -> dict:
     """Boot, drive a seeded population, return numbers + identity
     artifacts (trace/clock/snapshot serialized before the system is
     torn down, so a later boot's cam broadcasts cannot touch them)."""
-    system = MulticsSystem(kernel_config(**FRAMES)).boot()
+    system = MulticsSystem(
+        kernel_config(**FRAMES, audit_capacity=AUDIT_CAPACITY)
+    ).boot()
     driver = WorkloadDriver(system, n_cpus=N_CPUS)
     population = generate_population(n_users, seed=seed)
     report = driver.run(population)
@@ -47,7 +54,7 @@ def workload_run(n_users: int, seed: int = SEED) -> dict:
         "report": report,
         "derived": report.to_dict(),
         "trace": [
-            (r.action, r.object, r.outcome) for r in system.audit.records
+            (r.action, r.object, r.decision) for r in system.audit.records()
         ],
         "final_clock": system.clock.now,
         "snapshot_json": system.metrics.to_json(),

@@ -16,7 +16,8 @@ Measured, per profile:
   exist only on the specialized system) — and zero deny-stub hits;
 * the headline regression gate: the full E11 penetration suite reruns
   against every specialized kernel, requiring all attacks denied with
-  deny-completeness in the bounded audit trail.
+  deny-completeness in the bounded audit (every refused gate call the
+  metering plane counted is a denied call record, none dropped).
 
 An orchestrator leg runs all four specialized kernels side-by-side
 over one shared substrate, each tenant class admitted through its own
@@ -32,6 +33,7 @@ from repro.kernel.orchestrator import KernelOrchestrator
 from repro.kernel.specialize import KernelProfiler, specialize
 from repro.security.flaws import run_penetration_suite
 from repro.workloads import WorkloadDriver, generate_population
+from test_e16_metering import denial_books
 
 PROFILE_NAMES = ("shell", "compile", "io", "paging")
 TRAIN_USERS = 240
@@ -87,7 +89,7 @@ def training_run(profile_name: str, n_users: int, kernel=None) -> dict:
         "profile": profiler.profile(profile_name),
         "derived": report.to_dict(),
         "trace": [
-            (r.action, r.object, r.outcome) for r in system.audit.records
+            (r.action, r.object, r.decision) for r in system.audit.records()
         ],
         "final_clock": system.clock.now,
         "snapshot_json": system.metrics.to_json(),
@@ -105,6 +107,14 @@ def identical(train: dict, replay: dict) -> bool:
     )
 
 
+def deny_complete(system) -> bool:
+    """Every refused gate call the meters counted is a denied call
+    record in the audit, and the audit dropped nothing."""
+    books = denial_books(system)
+    return (books["audit_dropped"] == 0
+            and books["audit_gate_denials"] == books["meter_gate_denials"])
+
+
 def penetration_leg(profile) -> dict:
     """Rerun the full E11 suite against a specialized kernel built
     from ``profile`` over a fresh system."""
@@ -115,10 +125,8 @@ def penetration_leg(profile) -> dict:
         "system_kind": report.system_kind,
         "attempted": report.attempted,
         "successes": report.successes,
-        "deny_complete": (
-            system.audit_trail.denials == len(system.audit.denied())
-        ),
-        "denials": len(system.audit.denied()),
+        "deny_complete": deny_complete(system),
+        "denials": system.audit.denials,
     }
 
 
@@ -180,9 +188,7 @@ def orchestrator_leg(per_profile: dict) -> dict:
         "own_stub_hits": own_stub_hits,
         "cross_denials": cross_denials,
         "routed_calls": orch.routed_calls,
-        "deny_complete": (
-            system.audit_trail.denials == len(system.audit.denied())
-        ),
+        "deny_complete": deny_complete(system),
         "snapshot_json": system.metrics.to_json(),
         "gauges": snapshot["gauges"],
     }

@@ -56,7 +56,7 @@ from test_e15_assoc_memory import (  # noqa: E402
     _locality_workload,
     _paging_workload,
 )
-from test_e16_metering import combined_workload  # noqa: E402
+from test_e16_metering import combined_workload, denial_books  # noqa: E402
 from test_e17_smp import bench_numbers as smp_bench_numbers  # noqa: E402
 from test_e18_workload import bench_numbers as workload_bench_numbers  # noqa: E402
 from test_e19_sharded import bench_numbers as sharded_bench_numbers  # noqa: E402
@@ -124,13 +124,6 @@ def bench_e16() -> tuple[dict, dict]:
     system = combined_workload(metering=True)
     unmetered = combined_workload(metering=False)
     meters = system.meters
-    trail_doc = json.loads(system.audit_trail.to_json())
-    log_denials = sum(
-        1 for r in system.audit.records if r.outcome != "granted"
-    )
-    trail_denials = sum(
-        1 for r in trail_doc["records"] if r["decision"] != "granted"
-    )
     derived = {
         "wall_seconds": round(time.perf_counter() - t0, 4),
         "coverage": round(meters.coverage(), 4),
@@ -138,9 +131,7 @@ def bench_e16() -> tuple[dict, dict]:
         "total_cycles": meters.total_cycles(),
         "simulated_clock_metered": system.clock.now,
         "simulated_clock_unmetered": unmetered.clock.now,
-        "log_denials": log_denials,
-        "trail_denials": trail_denials,
-        "trail_dropped": trail_doc["dropped"],
+        **denial_books(system),
     }
     return derived, system.metrics.snapshot()
 
@@ -251,8 +242,9 @@ def main(argv: list[str]) -> int:
         print(f"  metering coverage {e16['coverage']:.2%}  "
               f"clock {e16['simulated_clock_metered']}/"
               f"{e16['simulated_clock_unmetered']}  "
-              f"denials {e16['log_denials']}/{e16['trail_denials']} "
-              f"(dropped {e16['trail_dropped']})")
+              f"gate denials {e16['meter_gate_denials']}/"
+              f"{e16['audit_gate_denials']} "
+              f"(dropped {e16['audit_dropped']})")
     if e17 is not None:
         print(f"  SMP speedup x{e17['speedup_2cpu']} at 2 CPUs  "
               f"1-CPU identity {e17['one_cpu_identity']}  "

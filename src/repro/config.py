@@ -199,11 +199,11 @@ class SystemConfig:
     #: On by default; metering never charges simulated cycles either
     #: way (bench E16 asserts the identity).
     metering: bool = True
-    #: Security-audit trail level (repro.obs.audit): "all" records
+    #: Security-audit level (repro.security.audit): "all" records
     #: every reference-monitor decision, "deny" only refusals and
     #: errors, "off" nothing.
     audit_level: str = "all"
-    #: Ring-buffer capacity of the audit trail, in records.
+    #: Ring-buffer capacity of the security audit, in records.
     audit_capacity: int = 4096
     #: Optional interval timeline sampler + SLO health monitor
     #: (repro.obs.timeline.validate_timeline_config describes the
@@ -213,12 +213,6 @@ class SystemConfig:
     timeline: dict | None = None
 
     costs: CostModel = field(default_factory=CostModel)
-
-    def cross_ring_penalty(self) -> int:
-        """Extra cycles a cross-ring call costs under the configured rings."""
-        if self.ring_mode is RingMode.SOFTWARE_645:
-            return self.costs.cross_ring_penalty_645
-        return self.costs.cross_ring_penalty_6180
 
     def validate(self) -> None:
         """Raise ``ValueError`` on nonsensical configurations."""
@@ -247,7 +241,7 @@ class SystemConfig:
         if self.am_entries <= 0:
             raise ValueError("am_entries must be positive (use am_enabled "
                              "to turn the associative memory off)")
-        from repro.obs.audit import LEVELS
+        from repro.security.audit import LEVELS
 
         if self.audit_level not in LEVELS:
             raise ValueError(f"audit_level must be one of {LEVELS}")

@@ -60,16 +60,16 @@ def harness_config(**overrides) -> SystemConfig:
 
 
 def security_decisions(audit: AuditLog) -> list[tuple[str, str, str, str]]:
-    """The (subject, object, action, outcome) of every access decision.
+    """The (principal, object, action, decision) of every access decision.
 
     Times are excluded on purpose: recovery backoff legitimately shifts
     the clock, and the containment claim is about *decisions*, not
     timing.
     """
     return [
-        (r.subject, r.object, r.action, r.outcome)
-        for r in audit.records
-        if r.outcome in DECISION_OUTCOMES
+        (r.principal, r.object, r.action, r.decision)
+        for r in audit.records()
+        if r.decision in DECISION_OUTCOMES
     ]
 
 

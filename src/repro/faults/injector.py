@@ -112,14 +112,6 @@ class FaultInjector:
     def injected_count(self) -> int:
         return len(self.injected)
 
-    def unresolved(self) -> int:
-        """Injected faults not yet matched by a recovery-plane action.
-
-        Zero after a quiesced run means every fault was retried,
-        degraded, or went fatal — nothing vanished silently.
-        """
-        return self.injected_count - (self.recovered + self.degraded + self.fatal)
-
     # -- internals ------------------------------------------------------
 
     def _now(self) -> int:

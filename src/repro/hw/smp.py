@@ -265,15 +265,6 @@ class SmpComplex:
         self._queue.append(job)
         return job
 
-    def submit_program(self, ctx: MachineContext, segno: int,
-                       entry: int = 0, args: list[int] | None = None,
-                       max_instructions: int = 1_000_000,
-                       label: str = "") -> CpuJob:
-        return self.submit(CpuJob(
-            ctx=ctx, segno=segno, entry=entry, args=list(args or []),
-            max_instructions=max_instructions, label=label,
-        ))
-
     @property
     def busy(self) -> bool:
         return bool(self._queue) or any(

@@ -226,13 +226,6 @@ class GateTable:
             census[gate.category] = census.get(gate.category, 0) + 1
         return census
 
-    def by_removal_tag(self) -> dict[str, int]:
-        census: dict[str, int] = {}
-        for gate in self._gates.values():
-            tag = gate.removed_by or "kept"
-            census[tag] = census.get(tag, 0) + 1
-        return census
-
     # -- the choke point ----------------------------------------------------------
 
     def call(self, process: "Process", name: str, *args: object) -> object:

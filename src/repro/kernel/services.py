@@ -28,7 +28,7 @@ from repro.hw.interrupts import InterruptController
 from repro.hw.memory import MemoryHierarchy
 from repro.hw.segmentation import Intent, translate
 from repro.kernel.locks import LockTable
-from repro.obs import AuditTrail, Meters, MetricsRegistry, Tracer
+from repro.obs import Meters, MetricsRegistry, Tracer
 from repro.proc.scheduler import TrafficController
 from repro.security.audit import AuditLog
 from repro.security.mac import BOTTOM
@@ -95,11 +95,10 @@ class KernelServices:
                                            metrics=self.metrics,
                                            meters=self.meters,
                                            locks=self.locks)
-        #: The bounded, exportable security-audit trail; every record
-        #: the kernel AuditLog takes is forwarded here.
-        self.audit_trail = AuditTrail(capacity=config.audit_capacity,
-                                      level=config.audit_level)
-        self.audit = AuditLog(trail=self.audit_trail)
+        #: The bounded, exportable security audit every decision point
+        #: logs through.
+        self.audit = AuditLog(capacity=config.audit_capacity,
+                              level=config.audit_level)
         # The fault plane: built before the hardware so every model can
         # consult one injector.  A fresh fork keeps this system's
         # injection history independent of any other system built from
@@ -197,7 +196,7 @@ class KernelServices:
             fault_wait=lambda: self.page_control.fault_wait_total,
         )
         self.meters.register_metrics(self.metrics)
-        self.audit_trail.register_metrics(self.metrics)
+        self.audit.register_metrics(self.metrics)
         # The time-series plane (repro.obs.timeline): off unless the
         # config carries a timeline spec.  Like the tracer, sampling
         # reads instruments only — zero simulated cycles either way.

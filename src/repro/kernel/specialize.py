@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterable
 
-from repro.errors import SpecializationDenial
+from repro.errors import ReproError, SpecializationDenial
 from repro.kernel.fs_gates import fs_gates
 from repro.kernel.gates import Gate, GateTable
 from repro.kernel.io_gates import network_gates
@@ -126,7 +126,7 @@ class KernelProfiler:
 
     def mark(self) -> None:
         """Set the observation baseline to now."""
-        self._audit_mark = len(self.services.audit.records)
+        self._audit_mark = self.services.audit.seq
         self._counter_mark = dict(
             self.services.metrics.snapshot()["counters"]
         )
@@ -137,19 +137,36 @@ class KernelProfiler:
     def profile(self, name: str, remark: bool = False) -> GateProfile:
         """Fold everything observed since the last mark into a profile.
 
-        The audit log is the primary source — it is unbounded and
-        always on, and records every gate invocation with its outcome.
-        A gate counts as *entered* unless the ring check turned the
-        call away (those never reached kernel software).  The per-gate
-        meters corroborate: any gate the metering plane saw advance is
-        folded in too.
+        The audit is the primary source: at level ``all`` it records
+        every gate invocation with its decision.  A gate counts as
+        *entered* unless the ring check turned the call away (those
+        never reached kernel software).  The per-gate meters
+        corroborate: any gate the metering plane saw advance is folded
+        in too.
+
+        Raises :class:`ReproError` rather than profile an incomplete
+        window: one recorded at a level other than ``all``, or one
+        whose oldest records the capacity bound already dropped (the
+        profile would silently lose the gates they named).
         """
+        audit = self.services.audit
+        if audit.level != "all":
+            raise ReproError(
+                f"cannot profile at audit level {audit.level!r}: only "
+                f"level 'all' records every gate call"
+            )
+        lost = audit.seq - self._audit_mark - len(audit)
+        if lost > 0:
+            raise ReproError(
+                f"{lost} records since the mark fell out of the audit's "
+                f"{audit.capacity}-record ring; raise audit_capacity"
+            )
         gates: set[str] = set()
         entered = 0
-        for record in self.services.audit.records[self._audit_mark:]:
-            if record.action != "call":
+        for record in audit.records():
+            if record.seq <= self._audit_mark or record.action != "call":
                 continue
-            if record.outcome == "denied" and record.category == "ring":
+            if record.decision == "denied" and record.category == "ring":
                 continue  # the hardware turned it away at the perimeter
             gates.add(record.object)
             entered += 1

@@ -1,16 +1,16 @@
-"""The observability plane: metrics, meters, tracing, audit trail.
+"""The observability plane: metrics, meters, tracing, timeline.
 
 See :mod:`repro.obs.registry` for instruments and the snapshot schema,
 :mod:`repro.obs.tracer` for the span taxonomy and the Chrome trace
 export, :mod:`repro.obs.meters` for per-process/per-gate cycle
-attribution, and :mod:`repro.obs.audit` for the bounded security-audit
-trail.  The system facade wires one of each through
+attribution, and :mod:`repro.obs.timeline` for interval sampling.
+The system facade wires one of each through
 :class:`repro.kernel.services.KernelServices`; standalone components
 (a bare CPU, a bench-built scheduler) accept them as optional
-constructor arguments.
+constructor arguments.  The bounded security audit is protected
+kernel code, not an observer: it is :mod:`repro.security.audit`.
 """
 
-from repro.obs.audit import LEVELS, AuditTrail, TrailRecord
 from repro.obs.health import HealthMonitor, validate_rules
 from repro.obs.meters import NULL_METERS, GateMeter, Meters, ProcessMeter
 from repro.obs.registry import (
@@ -52,9 +52,6 @@ __all__ = [
     "Meters",
     "ProcessMeter",
     "GateMeter",
-    "LEVELS",
-    "AuditTrail",
-    "TrailRecord",
     "TimelineSampler",
     "validate_timeline",
     "validate_timeline_config",

@@ -95,11 +95,6 @@ class CpuMeter:
     slices: int = 0
     jobs: int = 0
 
-    @property
-    def stall_fraction(self) -> float:
-        total = self.busy_cycles + self.stall_cycles
-        return self.stall_cycles / total if total else 0.0
-
 
 @dataclass
 class GateMeter:
@@ -432,22 +427,6 @@ class Meters:
                 f"{self.process_page_faults(pid):>7} "
                 f"{self.process_fault_wait(pid):>11} "
                 f"{b.gate_entries:>6} {b.ring_crossings:>6}"
-            )
-        return "\n".join(lines)
-
-    def processor_meters(self) -> str:
-        """Per-CPU slice accounting for the SMP complex."""
-        lines = [
-            "PROCESSOR METERS",
-            f"  {'cpu':>4} {'busy':>12} {'stall':>10} {'stall %':>8} "
-            f"{'slices':>7} {'jobs':>6}",
-        ]
-        for cpu_id in sorted(self._cpu_meters):
-            m = self._cpu_meters[cpu_id]
-            lines.append(
-                f"  {cpu_id:>4} {m.busy_cycles:>12} {m.stall_cycles:>10} "
-                f"{100.0 * m.stall_fraction:>7.2f}% "
-                f"{m.slices:>7} {m.jobs:>6}"
             )
         return "\n".join(lines)
 

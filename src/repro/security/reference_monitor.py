@@ -41,7 +41,7 @@ class ReferenceMonitor:
     def __init__(self, audit: AuditLog | None = None) -> None:
         # Explicit None check: an *empty* AuditLog is falsy (it has
         # __len__), and ``audit or AuditLog()`` would silently replace
-        # a caller's log — losing its attached trail.
+        # a caller's log — losing every decision logged through it.
         self.audit = audit if audit is not None else AuditLog()
         self.checks = 0
         self.denials = 0

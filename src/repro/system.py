@@ -319,6 +319,7 @@ class MulticsSystem:
 
     @property
     def audit(self):
+        """The bounded security audit (repro.security.audit)."""
         return self.services.audit
 
     @property
@@ -335,11 +336,6 @@ class MulticsSystem:
     def meters(self):
         """The system-wide metering plane (repro.obs)."""
         return self.services.meters
-
-    @property
-    def audit_trail(self):
-        """The bounded security audit trail (repro.obs)."""
-        return self.services.audit_trail
 
     @property
     def timeline(self):

@@ -37,13 +37,6 @@ class ReferenceNameManager:
         except KeyError:
             raise UserRingError(f"no reference name {refname!r}") from None
 
-    def initiate_and_bind(self, dir_segno: int, entry: str,
-                          refname: str | None = None) -> int:
-        """One kernel call, then private bookkeeping."""
-        segno = self._sup.call(self._process, "hcs_$initiate", dir_segno, entry)
-        self.bind(refname or entry, segno)
-        return segno
-
     def terminate(self, refname: str) -> None:
         """Unbind; terminate the segment when its last name drops."""
         segno = self.unbind(refname)

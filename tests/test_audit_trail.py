@@ -1,6 +1,6 @@
-"""Tests for the bounded security-audit trail (repro.obs.audit):
+"""Tests for the bounded security audit (repro.security.audit):
 ring-buffer mechanics, levels, JSON export, and the completeness
-guarantee — every deny raised anywhere appears in the trail."""
+guarantee — every deny raised anywhere appears in the audit."""
 
 import json
 
@@ -9,7 +9,6 @@ import pytest
 from repro.errors import AccessDenied, AccessViolation, InvalidArgument
 from repro.fs.acl import Acl
 from repro.hw.segmentation import AccessMode
-from repro.obs import AuditTrail
 from repro.security.audit import AuditLog
 from repro.security.mac import SecurityLabel
 from repro.security.reference_monitor import ReferenceMonitor
@@ -21,49 +20,50 @@ from tests.test_security_reference_monitor import branch, subject
 class TestTrailMechanics:
     def test_rejects_bad_level_and_capacity(self):
         with pytest.raises(ValueError):
-            AuditTrail(level="verbose")
+            AuditLog(level="verbose")
         with pytest.raises(ValueError):
-            AuditTrail(capacity=0)
+            AuditLog(capacity=0)
 
     def test_capacity_bound_drops_oldest_and_counts(self):
-        trail = AuditTrail(capacity=3)
+        audit = AuditLog(capacity=3)
         for i in range(5):
-            trail.record(i, "p", f"o{i}", "r", "granted")
-        assert len(trail) == 3
-        assert trail.seen == 5
-        assert trail.dropped == 2
+            audit.log(i, "p", f"o{i}", "r", "granted")
+        assert len(audit) == 3
+        assert audit.seen == 5
+        assert audit.dropped == 2
         # The survivors are the newest, with monotonic seq intact.
-        assert [r.object for r in trail.records()] == ["o2", "o3", "o4"]
-        assert [r.seq for r in trail.records()] == [3, 4, 5]
+        assert [r.object for r in audit.records()] == ["o2", "o3", "o4"]
+        assert [r.seq for r in audit.records()] == [3, 4, 5]
+        assert audit.seq == 5
 
     def test_level_deny_keeps_only_refusals(self):
-        trail = AuditTrail(level="deny")
-        trail.record(1, "p", "o", "r", "granted")
-        trail.record(2, "p", "o", "w", "denied", "no")
-        trail.record(3, "p", "o", "call", "error", "boom")
-        assert len(trail) == 2
-        assert trail.denials == 2
-        assert all(r.decision != "granted" for r in trail.records())
+        audit = AuditLog(level="deny")
+        audit.log(1, "p", "o", "r", "granted")
+        audit.log(2, "p", "o", "w", "denied", "no")
+        audit.log(3, "p", "o", "call", "error", "boom")
+        assert len(audit) == 2
+        assert audit.denials == 2
+        assert all(r.decision != "granted" for r in audit.records())
 
     def test_level_off_records_nothing(self):
-        trail = AuditTrail(level="off")
-        trail.record(1, "p", "o", "r", "denied")
-        assert len(trail) == 0
-        assert trail.seen == 1
+        audit = AuditLog(level="off")
+        audit.log(1, "p", "o", "r", "denied")
+        assert len(audit) == 0
+        assert audit.seen == 1
 
     def test_queries(self):
-        trail = AuditTrail()
-        trail.record(1, "Alice.Crypto", "a", "r", "granted", category="acl")
-        trail.record(2, "Eve.Spies", "a", "w", "denied", category="mac")
-        assert len(trail.denied()) == 1
-        assert len(trail.by_principal("Eve.Spies")) == 1
-        assert len(trail.by_category("mac")) == 1
+        audit = AuditLog()
+        audit.log(1, "Alice.Crypto", "a", "r", "granted", category="acl")
+        audit.log(2, "Eve.Spies", "a", "w", "denied", category="mac")
+        (denied,) = audit.denied()
+        assert (denied.principal, denied.category) == ("Eve.Spies", "mac")
+        assert [r.decision for r in audit.records()] == ["granted", "denied"]
 
     def test_json_export_round_trips(self):
-        trail = AuditTrail(capacity=8)
-        trail.record(5, "Alice.Crypto", "data", "rw", "denied",
-                     "acl grants only 'r'", ring=4, category="acl")
-        doc = json.loads(trail.to_json())
+        audit = AuditLog(capacity=8)
+        audit.log(5, "Alice.Crypto", "data", "rw", "denied",
+                  "acl grants only 'r'", ring=4, category="acl")
+        doc = json.loads(audit.to_json())
         assert doc["schema"] == "repro.audit/v1"
         assert doc["denials"] == 1
         (rec,) = doc["records"]
@@ -75,23 +75,13 @@ class TestTrailMechanics:
         }
 
 
-class TestLogForwarding:
-    """AuditLog is the single funnel: everything it takes reaches the
-    attached trail, so nothing can log a denial around the trail."""
-
-    def test_every_log_entry_reaches_the_trail(self):
-        trail = AuditTrail()
-        log = AuditLog(trail=trail)
-        log.log(1, "p", "o", "r", "granted")
-        log.log(2, "p", "o", "w", "denied", "no", ring=4, category="mac")
-        assert trail.seen == 2
-        assert trail.denials == 1
-        rec = trail.denied()[0]
-        assert rec.ring == 4 and rec.category == "mac"
+class TestMonitorFunnel:
+    """The reference monitor logs each refusal into the audit, naming
+    the mechanism that decided."""
 
     def test_monitor_denials_land_in_trail_with_category(self):
-        trail = AuditTrail()
-        rm = ReferenceMonitor(audit=AuditLog(trail=trail))
+        audit = AuditLog()
+        rm = ReferenceMonitor(audit=audit)
         with pytest.raises(AccessDenied):
             rm.check(subject(), branch(acl=Acl.make(("*.*.*", "r"))),
                      AccessMode.W, ring=4)
@@ -101,14 +91,16 @@ class TestLogForwarding:
         with pytest.raises(AccessDenied):
             rm.check(subject(level=2), branch(label=SecurityLabel(0)),
                      AccessMode.W)
-        assert len(rm.audit.denied()) == 3
-        assert [r.category for r in trail.denied()] == ["acl", "mac", "mac"]
-        assert trail.denied()[0].ring == 4
+        assert audit.denials == 3
+        denied = audit.denied()
+        assert [r.category for r in denied] == ["acl", "mac", "mac"]
+        assert denied[0].ring == 4
 
 
 class TestSystemCompleteness:
-    """Replayed deny scenarios against a booted system: each refusal in
-    the kernel's AuditLog has a matching trail record."""
+    """Replayed deny scenarios against a booted system, checked against
+    a witness outside the audit: the metering plane counts each refused
+    gate call at the gate table's refusal sites."""
 
     def make_system(self, **overrides):
         from repro import kernel_config
@@ -138,16 +130,12 @@ class TestSystemCompleteness:
     def test_every_deny_has_a_trail_record(self):
         system = self.make_system()
         self.provoke_denials(system)
-        log_denied = [r for r in system.audit.records
-                      if r.outcome != "granted"]
-        trail_denied = system.audit_trail.denied()
-        assert len(log_denied) >= 3
-        assert len(trail_denied) == len(log_denied)
-        for log_rec, trail_rec in zip(log_denied, trail_denied):
-            assert (log_rec.time, log_rec.subject, log_rec.object,
-                    log_rec.outcome) == (
-                trail_rec.time, trail_rec.principal, trail_rec.object,
-                trail_rec.decision)
+        denied_calls = [r for r in system.audit.records()
+                        if r.action == "call" and r.decision == "denied"]
+        metered = system.metrics.snapshot()["counters"]["meter.gate_denials"]
+        assert system.audit.dropped == 0
+        assert len(denied_calls) == metered == 3
+        assert [r.category for r in denied_calls] == ["gate", "args", "ring"]
 
     def test_deny_level_trail_holds_no_grants(self):
         system = self.make_system(audit_level="deny")
@@ -156,34 +144,36 @@ class TestSystemCompleteness:
         segno = alice.create_segment("mine")
         alice.write_words(segno, [1])
         assert alice.read_words(segno, 1) == [1]
-        trail = system.audit_trail
-        assert all(r.decision != "granted" for r in trail.records())
-        # The kernel's own log still saw the grants.
-        assert any(r.outcome == "granted" for r in system.audit.records)
+        audit = system.audit
+        assert len(audit) == 0
+        assert audit.denials == 0
+        # The decisions were offered; the level kept none of them.
+        assert audit.seen > 0
 
     def test_trail_wraparound_on_a_live_system(self):
-        """A system whose workload overflows the trail's ring buffer:
-        sequence numbers stay strictly monotonic past the wrap, the
-        export stays well-formed, and the books still balance."""
+        """A system whose workload overflows the audit's ring buffer:
+        memory stays at capacity, sequence numbers stay strictly
+        monotonic past the wrap, the export stays well-formed, and the
+        books still balance."""
         system = self.make_system(audit_capacity=16)
         self.provoke_denials(system)
         alice = system.login("Alice", "Crypto", "alice-pw")
         for i in range(30):  # plenty of granted decisions past capacity
             alice.create_segment(f"wrap{i}")
-        trail = system.audit_trail
-        assert trail.seen > trail.capacity
-        assert trail.dropped > 0
-        assert len(trail.records()) == trail.capacity
-        seqs = [r.seq for r in trail.records()]
+        audit = system.audit
+        assert audit.seen > audit.capacity
+        assert audit.dropped > 0
+        assert len(audit) == audit.capacity
+        seqs = [r.seq for r in audit.records()]
         assert seqs == sorted(seqs)
         assert len(set(seqs)) == len(seqs)
-        assert seqs[-1] == trail.seen  # nothing skipped the funnel
+        assert seqs[-1] == audit.seen  # nothing skipped the funnel
         # The export survives the wrap: schema intact, records complete.
-        doc = json.loads(trail.to_json())
+        doc = json.loads(audit.to_json())
         assert doc["schema"] == "repro.audit/v1"
-        assert doc["seen"] == trail.seen
-        assert doc["dropped"] == trail.dropped
-        assert len(doc["records"]) == trail.capacity
+        assert doc["seen"] == audit.seen
+        assert doc["dropped"] == audit.dropped
+        assert len(doc["records"]) == audit.capacity
         assert [r["seq"] for r in doc["records"]] == seqs
         required = {"seq", "time", "principal", "object", "action",
                     "ring", "category", "decision", "detail"}
@@ -194,6 +184,7 @@ class TestSystemCompleteness:
         alice = system.login("Alice", "Crypto", "alice-pw")
         alice.create_segment("shared")
         alice.set_acl("shared", "Eve.Spies", "r")
-        revocations = system.audit_trail.by_category("revocation")
+        revocations = [r for r in system.audit.records()
+                       if r.category == "revocation"]
         assert revocations
         assert all(r.action == "revoke" for r in revocations)

@@ -188,7 +188,7 @@ class TestControllers:
         assert services.injector.injected == [
             (system.clock.now, "link.uplink", "drop")
         ]
-        records = [r for r in system.audit_trail.records()
+        records = [r for r in system.audit.records()
                    if r.object == "link.uplink"]
         assert records and records[0].decision == "injected"
         system.shutdown()
@@ -311,5 +311,5 @@ class TestEngineMetrics:
         engine.step()
         assert engine.injector.injected_count == 1
         assert any(r.object == "link.uplink"
-                   for r in system.audit_trail.records())
+                   for r in system.audit.records())
         system.shutdown()

@@ -126,9 +126,9 @@ class TestFaultPlan:
         )
         assert injector.check("s") == "k"
         assert injector.check("s") is None
-        records = [r for r in audit.records if r.outcome == "injected"]
+        records = [r for r in audit.records() if r.decision == "injected"]
         assert len(records) == 1
-        assert records[0].subject == "hardware.fault_plan"
+        assert records[0].principal == "hardware.fault_plan"
 
 
 # ---------------------------------------------------------------------------
@@ -373,12 +373,12 @@ class TestDeterminism:
         a, _ = run_workload(fault_seed=11)
         b, _ = run_workload(fault_seed=11)
         rec_a = [
-            (r.time, r.subject, r.object, r.action, r.outcome, r.detail)
-            for r in a.services.audit.records
+            (r.time, r.principal, r.object, r.action, r.decision, r.detail)
+            for r in a.services.audit.records()
         ]
         rec_b = [
-            (r.time, r.subject, r.object, r.action, r.outcome, r.detail)
-            for r in b.services.audit.records
+            (r.time, r.principal, r.object, r.action, r.decision, r.detail)
+            for r in b.services.audit.records()
         ]
         assert rec_a == rec_b
         assert a.services.injector.injected == b.services.injector.injected

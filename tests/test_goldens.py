@@ -55,14 +55,15 @@ def system_fingerprint(system, results) -> dict:
     later boot in the same process could still move this system's
     ``am.*`` counters.
     """
-    trace = [(r.action, r.object, r.outcome) for r in system.audit.records]
-    export = system.audit_trail.to_json()
+    trace = [(r.action, r.object, r.decision)
+             for r in system.audit.records()]
+    export = system.audit.to_json()
     return {
         "final_clock": system.clock.now,
         "results": results,
         "metrics": system.metrics.snapshot(),
         "trace": {"records": len(trace), "sha256": _sha(json.dumps(trace))},
-        "audit_export": {"records": len(system.audit_trail),
+        "audit_export": {"records": len(system.audit),
                          "sha256": _sha(export)},
     }
 

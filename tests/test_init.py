@@ -148,8 +148,8 @@ class TestSalvager:
         rebooted = MulticsSystem(services=system.services).boot()
         assert rebooted.salvage_report is None
         assert not any(
-            r.subject == "kernel.salvager"
-            for r in rebooted.services.audit.records
+            r.principal == "kernel.salvager"
+            for r in rebooted.services.audit.records()
         )
 
     def test_unclean_marker_triggers_salvage(self):
@@ -161,8 +161,8 @@ class TestSalvager:
         assert report is not None
         assert report.directories_checked > 0
         assert any(
-            r.subject == "kernel.salvager" and r.action == "salvage_begin"
-            for r in rebooted.services.audit.records
+            r.principal == "kernel.salvager" and r.action == "salvage_begin"
+            for r in rebooted.services.audit.records()
         )
 
     def test_salvage_quarantines_dangling_branch(self):

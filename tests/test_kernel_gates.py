@@ -158,7 +158,7 @@ class TestGateTable:
         services, table = self.make_table(config)
         table.register(Gate("t_$x", "test", lambda s, p: None, ()))
         table.call(user_process(), "t_$x")
-        assert services.audit.records[-1].outcome == "granted"
+        assert services.audit.records()[-1].decision == "granted"
 
     def test_ring_restored_after_call(self, config):
         services, table = self.make_table(config)

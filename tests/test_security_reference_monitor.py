@@ -119,11 +119,12 @@ class TestAudit:
             rm.check(subject(), branch(label=SecurityLabel(3)), AccessMode.R)
         except AccessDenied:
             pass
+        records = rm.audit.records()
         assert len(rm.audit) == 2
-        assert len(rm.audit.granted()) == 1
+        assert [r.decision for r in records] == ["granted", "denied"]
         assert len(rm.audit.denied()) == 1
-        assert rm.audit.records[0].time == 5
-        assert rm.audit.by_subject("Alice.Crypto.a")
+        assert records[0].time == 5
+        assert records[0].principal == "Alice.Crypto.a"
 
     def test_may_predicate(self):
         rm = ReferenceMonitor()
@@ -134,5 +135,6 @@ class TestAudit:
         rm = ReferenceMonitor()
         for _ in range(15):
             rm.check(subject(), branch(), AccessMode.R)
-        assert len(rm.audit.tail(10)) == 10
-        assert len(rm.audit.by_object("data")) == 15
+        records = rm.audit.records()
+        assert [r.seq for r in records[-10:]] == list(range(6, 16))
+        assert sum(r.object == "data" for r in records) == 15

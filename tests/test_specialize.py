@@ -15,6 +15,7 @@ from repro.config import USER_RING
 from repro.errors import (
     AccessViolation,
     KernelDenial,
+    ReproError,
     SpecializationDenial,
 )
 from repro.kernel.orchestrator import KernelOrchestrator
@@ -140,6 +141,28 @@ class TestKernelProfiler:
         assert quiet.gates == frozenset()
         assert quiet.trained_calls == 0
 
+    def test_profile_refuses_a_window_the_ring_dropped(self):
+        """The audit is bounded: a training window that outgrew it has
+        lost its earliest gate calls, so the profile would be short."""
+        system = MulticsSystem(kernel_config(audit_capacity=16)).boot()
+        system.register_user("Alice", "Crypto", "alice-pw")
+        session = system.login("Alice", "Crypto", "alice-pw")
+        profiler = KernelProfiler(system)
+        for _ in range(30):
+            session.call("hcs_$get_root")
+        with pytest.raises(ReproError, match="audit_capacity"):
+            profiler.profile("overflowed")
+
+    def test_profile_refuses_a_deny_level_audit(self):
+        """At level ``deny`` the audit keeps no granted call, so there
+        is nothing to profile from."""
+        system = MulticsSystem(kernel_config(audit_level="deny")).boot()
+        system.register_user("Alice", "Crypto", "alice-pw")
+        profiler = KernelProfiler(system)
+        train(system)
+        with pytest.raises(ReproError, match="level"):
+            profiler.profile("deny-level")
+
 
 # ---------------------------------------------------------------------------
 # SpecializedKernel
@@ -176,17 +199,15 @@ class TestSpecializedKernel:
         assert "net_$send" not in profile.gates
         kernel = specialize(system, profile)
         session = system.login("Eve", "Spies", "eve-pw")
-        denials_before = len(system.audit.denied())
-        trail_before = system.audit_trail.denials
+        denials_before = system.audit.denials
         with pytest.raises(SpecializationDenial):
             kernel.call(session.process, "net_$send", "remote", "data")
         assert kernel.gates.deny_stub_hits == 1
-        # One funnel: the denial is in the audit log and on the trail.
+        # One funnel: the denial is in the audit like any other.
+        assert system.audit.denials == denials_before + 1
         denied = system.audit.denied()
-        assert len(denied) == denials_before + 1
         assert denied[-1].object == "net_$send"
         assert denied[-1].category == "gate"
-        assert system.audit_trail.denials == trail_before + 1
 
     def test_stub_keeps_ring_brackets(self, trained):
         system, profile = trained
@@ -258,7 +279,14 @@ class TestSpecializedKernel:
 
 class TestPenetrationRegression:
     def _deny_complete(self, system):
-        return system.audit_trail.denials == len(system.audit.denied())
+        """Every refused gate call the meters counted (a witness outside
+        the audit) is a denied call record, and none was dropped."""
+        denied_calls = sum(
+            1 for r in system.audit.records()
+            if r.action == "call" and r.decision == "denied"
+        )
+        metered = system.metrics.snapshot()["counters"]["meter.gate_denials"]
+        return system.audit.dropped == 0 and denied_calls == metered
 
     def test_full_kernel_still_holds(self, kernel_system):
         report = run_penetration_suite(kernel_system)
@@ -353,11 +381,12 @@ class TestKernelOrchestrator:
     def test_cross_tenant_gate_is_denied_and_audited(self, orchestrated):
         system, orch = orchestrated
         fs_user = orch.login("fs", "Fay", "Load", "fay-pw")
-        denials_before = len(system.audit.denied())
+        denials_before = system.audit.denials
         with pytest.raises(SpecializationDenial):
             orch.call(fs_user.process, "net_$send", "remote-host", "leak")
         assert orch.kernel_for("fs").gates.deny_stub_hits == 1
         assert orch.routed_calls == 1
+        assert system.audit.denials == denials_before + 1
         denied = system.audit.denied()
         assert denied[-1].object == "net_$send"
         # The same call through the *full* kernel would have been
