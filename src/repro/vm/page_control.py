@@ -25,7 +25,7 @@ performs, and how long a fault takes under contention.
 from __future__ import annotations
 
 import itertools
-from collections import deque
+from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.config import PageControlKind, SystemConfig
@@ -34,6 +34,7 @@ from repro.faults.recovery import RetryPolicy, retry_call
 from repro.hw.assoc import cam_uid
 from repro.hw.clock import Simulator
 from repro.hw.memory import MemoryHierarchy, OutOfFrames
+from repro.hw.segmentation import PTW
 from repro.obs import NULL_TRACER, MetricsRegistry, Tracer
 from repro.proc.ipc import Block, Charge, Now, Wakeup
 from repro.proc.process import Process
@@ -42,13 +43,16 @@ from repro.vm.replacement import Candidate, ReplacementPolicy, make_policy
 from repro.vm.segment_control import ActiveSegment, ActiveSegmentTable, PageHome
 
 
-@dataclass
+@dataclass(slots=True)
 class ResidentPage:
     """Page control's record of one page currently in a core frame."""
 
     aseg: ActiveSegment
     pageno: int
     loaded_at: int
+    #: ``aseg.ptws[pageno]``, kept so a replacement round reads and
+    #: clears a used bit with one attribute access.
+    ptw: PTW
 
 
 @dataclass
@@ -97,10 +101,18 @@ class PageControl:
         #: :meth:`service_sync` so concurrent faulters serialize here —
         #: exactly where the paper's kernel serializes them.
         self.ptl = locks.ptl if locks is not None else None
-        #: (uid, pageno) -> ResidentPage for every page in core.
+        #: (uid, pageno) -> ResidentPage for every page in core, in
+        #: load order: pages are inserted as they load and the clock
+        #: never runs backwards, so ``loaded_at`` never decreases along
+        #: the iteration.  Replacement rounds rely on that order.
         self.resident: dict[tuple[int, int], ResidentPage] = {}
-        #: FIFO census of pages on the bulk store.
-        self._bulk_pages: deque[tuple[ActiveSegment, int]] = deque()
+        #: FIFO census of pages on the bulk store: (uid, pageno) -> the
+        #: page's segment, oldest first.  An OrderedDict, because a
+        #: plain dict's first key costs a scan past every key deleted
+        #: from the front since its last resize.
+        self._bulk_pages: OrderedDict[tuple[int, int], ActiveSegment] = (
+            OrderedDict()
+        )
         self._io_seq = itertools.count()
         # Fault plane: injector rides on the hierarchy; retry budget
         # comes from the config.
@@ -168,21 +180,22 @@ class PageControl:
             lambda: self.hierarchy.transfer(src, home.frame, self.hierarchy.core),
         )
         aseg.homes[pageno] = None
-        aseg.ptws[pageno].place(dst_frame)
+        ptw = aseg.ptws[pageno]
+        ptw.place(dst_frame)
         # The page may land in a different frame than any cached
         # translation remembers: cam it everywhere before anyone hits.
         cam_uid(aseg.uid, pageno)
         if home.level == "bulk":
-            self._bulk_census_remove(aseg, pageno)
+            self._bulk_pages.pop((aseg.uid, pageno), None)
         self.resident[(aseg.uid, pageno)] = ResidentPage(
-            aseg, pageno, self.sim.clock.now
+            aseg, pageno, self.sim.clock.now, ptw
         )
         self.policy.note_loaded(hash((aseg.uid, pageno)), self.sim.clock.now)
         return self.hierarchy.transfer_cost(src, self.hierarchy.core) + backoff
 
     def _evict_core_move(self, rp: ResidentPage) -> int:
         """Move one resident page core -> bulk.  Bulk must have room."""
-        ptw = rp.aseg.ptws[rp.pageno]
+        ptw = rp.ptw
         assert ptw.in_core and ptw.frame is not None
         bulk_frame, backoff = self._retry(
             "pc.evict_core",
@@ -195,8 +208,9 @@ class PageControl:
         # honouring its cached translation before the frame is reused.
         cam_uid(rp.aseg.uid, rp.pageno)
         rp.aseg.homes[rp.pageno] = PageHome("bulk", bulk_frame)
-        self._bulk_pages.append((rp.aseg, rp.pageno))
-        del self.resident[(rp.aseg.uid, rp.pageno)]
+        key = (rp.aseg.uid, rp.pageno)
+        self._bulk_pages[key] = rp.aseg
+        del self.resident[key]
         self.core_evictions += 1
         return (
             self.hierarchy.transfer_cost(self.hierarchy.core, self.hierarchy.bulk)
@@ -214,7 +228,9 @@ class PageControl:
             raise OutOfFrames("bulk store has no evictable page")
         # Peek first, pop only after the transfer lands: a fatal
         # transfer must not lose the page from the census.
-        aseg, pageno = self._bulk_pages[0]
+        key = next(iter(self._bulk_pages))
+        aseg = self._bulk_pages[key]
+        pageno = key[1]
         home = aseg.homes[pageno]
         assert home is not None and home.level == "bulk"
         disk_frame, backoff = self._retry(
@@ -223,7 +239,7 @@ class PageControl:
                 self.hierarchy.bulk, home.frame, self.hierarchy.disk
             ),
         )
-        self._bulk_pages.popleft()
+        del self._bulk_pages[key]
         aseg.homes[pageno] = PageHome("disk", disk_frame)
         self.bulk_evictions += 1
         return self.hierarchy.transfer_cost(
@@ -274,15 +290,8 @@ class PageControl:
         # Segment deletion invalidates everything cached for it,
         # including fetch-legality entries.
         cam_uid(aseg.uid)
-        self._bulk_pages = deque(
-            (seg, page) for seg, page in self._bulk_pages if seg is not aseg
-        )
-
-    def _bulk_census_remove(self, aseg: ActiveSegment, pageno: int) -> None:
-        try:
-            self._bulk_pages.remove((aseg, pageno))
-        except ValueError:
-            pass
+        for pageno in range(aseg.n_pages):
+            self._bulk_pages.pop((aseg.uid, pageno), None)
 
     def _choose_core_victim(self) -> ResidentPage:
         """Ask the replacement policy for a victim among resident pages."""
@@ -291,41 +300,53 @@ class PageControl:
     def _choose_core_victims(self, want: int) -> list[ResidentPage]:
         """One replacement round choosing up to ``want`` victims.
 
-        The policy picks the first victim from the full candidate
-        census.  The clock-hand sweep then clears every used bit, after
-        which any further selection this round degenerates to FIFO
-        order — so the rest of the batch is taken directly from the
-        oldest resident pages (``resident`` iterates in insertion
-        order and pages are loaded at non-decreasing clock times)
-        instead of re-running the policy over the census once per
-        frame.  Batching is what keeps eviction storms at 10k-session
-        scale from going quadratic in resident pages.
+        The policy picks the first victim.  The clock-hand sweep then
+        clears every used bit, after which any further selection this
+        round degenerates to FIFO order, so the rest of the batch is
+        the oldest other resident pages, at the head of ``resident``.
+        A policy with a ``victim_position`` method (the in-kernel clock
+        and FIFO) is given only the used bits in load order and reads
+        no more of them than it needs, so the round costs the victims
+        plus the sweep.  Any other policy gets a :class:`Candidate`
+        for every resident page through ``select``.
         """
-        pages = list(self.resident.values())
-        if not pages:
+        resident = self.resident
+        if not resident:
             raise OutOfFrames("no resident page to evict")
+        victim_position = getattr(self.policy, "victim_position", None)
+        if victim_position is None:
+            index = self._select_from_candidates()
+        else:
+            index = victim_position(rp.ptw.used for rp in resident.values())
+        head = list(
+            itertools.islice(resident.values(), max(index, want - 1) + 1)
+        )
+        victims = [head.pop(index)]
+        victims += head[:want - 1]
+        # Clock-hand sweep: passing over a page clears its used bit.
+        for rp in resident.values():
+            rp.ptw.used = False
+        return victims
+
+    def _select_from_candidates(self) -> int:
+        """The victim's position by ``policy.select`` over a
+        :class:`Candidate` for every resident page."""
         candidates = [
             Candidate(
                 slot=hash((rp.aseg.uid, rp.pageno)),
-                used=rp.aseg.ptws[rp.pageno].used,
-                modified=rp.aseg.ptws[rp.pageno].modified,
+                used=rp.ptw.used,
+                modified=rp.ptw.modified,
                 loaded_at=rp.loaded_at,
             )
-            for rp in pages
+            for rp in self.resident.values()
         ]
         index = self.policy.select(candidates)
-        if not 0 <= index < len(pages):
+        if not 0 <= index < len(candidates):
             # A broken (or malicious ring-2) policy returned nonsense;
             # the mechanism substitutes FIFO rather than malfunction.
-            index = min(range(len(pages)), key=lambda i: pages[i].loaded_at)
-        victims = [pages[index]]
-        # Clock-hand sweep: passing over a page clears its used bit.
-        for rp in pages:
-            rp.aseg.ptws[rp.pageno].used = False
-        if want > 1:
-            rest = (rp for i, rp in enumerate(pages) if i != index)
-            victims.extend(itertools.islice(rest, want - 1))
-        return victims
+            # The oldest page is the first in load order.
+            index = 0
+        return index
 
     def _core_eviction_batch(self) -> int:
         """How many frames one synchronous replacement round frees."""

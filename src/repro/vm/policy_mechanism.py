@@ -84,12 +84,11 @@ class PageRemovalMechanism:
             ).digest()
             handle = int.from_bytes(digest, "big")
             self._slots[handle] = (uid, pageno)
-            ptw = rp.aseg.ptws[rp.pageno]
             infos.append(
                 SlotInfo(
                     slot=handle,
-                    used=ptw.used,
-                    modified=ptw.modified,
+                    used=rp.ptw.used,
+                    modified=rp.ptw.modified,
                     age=now - rp.loaded_at,
                 )
             )

@@ -6,12 +6,20 @@ into the candidate list.  Policies never touch page *contents* —
 the policy/mechanism split of experiment E7 makes that impossibility
 structural, but even the in-kernel policies here are written against
 the same narrow interface.
+
+Page control presents resident pages in load order (``loaded_at``
+never decreases along the list).  A policy whose choice depends only
+on that order and the used bits — FIFO and clock — also implements
+``victim_position``, which is handed the used bits alone, in load
+order, and returns the victim's position.  Page control then builds no
+:class:`Candidate` at all; a policy without the method (LRU) keeps
+``select``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol
+from typing import Iterable, Protocol
 
 
 @dataclass
@@ -49,6 +57,10 @@ class FIFOPolicy:
         best = min(range(len(candidates)), key=lambda i: candidates[i].loaded_at)
         return best
 
+    def victim_position(self, used: Iterable[bool]) -> int:
+        """The first page in load order is the oldest; no bit is read."""
+        return 0
+
     def note_loaded(self, slot: int, time: int) -> None:
         pass
 
@@ -73,6 +85,15 @@ class ClockPolicy:
         # Everything recently used: fall back to FIFO order.
         return min(range(len(candidates)), key=lambda i: candidates[i].loaded_at)
 
+    def victim_position(self, used: Iterable[bool]) -> int:
+        """In load order the oldest unused page is the first unused
+        one, so the bits are read only up to it; when every page is
+        used, the first page (FIFO)."""
+        for position, bit in enumerate(used):
+            if not bit:
+                return position
+        return 0
+
     def note_loaded(self, slot: int, time: int) -> None:
         pass
 
@@ -82,6 +103,10 @@ class LRUPolicy:
 
     Each selection round, pages with the used bit set are treated as
     referenced 'now'; the policy keeps a recency estimate per slot.
+    A round keeps the estimates of its own candidates only: a page that
+    has left the census is not asked about again until ``note_loaded``
+    sets its estimate afresh, so the table stays the size of the census
+    plus the pages loaded since the last round.
     """
 
     name = "lru"
@@ -94,16 +119,17 @@ class LRUPolicy:
         if not candidates:
             raise ValueError("no candidates")
         self._round += 1
+        previous = self._last_seen
+        seen: dict[int, int] = {}
         for cand in candidates:
             if cand.used:
-                self._last_seen[cand.slot] = self._round
-            self._last_seen.setdefault(cand.slot, 0)
+                seen[cand.slot] = self._round
+            elif cand.slot not in seen:
+                seen[cand.slot] = previous.get(cand.slot, 0)
+        self._last_seen = seen
         return min(
             range(len(candidates)),
-            key=lambda i: (
-                self._last_seen[candidates[i].slot],
-                candidates[i].loaded_at,
-            ),
+            key=lambda i: (seen[candidates[i].slot], candidates[i].loaded_at),
         )
 
     def note_loaded(self, slot: int, time: int) -> None:

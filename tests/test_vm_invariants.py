@@ -2,9 +2,11 @@
 
 A stateful hypothesis machine drives page control with arbitrary
 interleavings of touches, synchronous fault servicing, segment
-creation, and deletion, checking the storage invariants that page
-control must never break — each page has exactly one home, censuses
-agree with the hardware, and data written is data read back.
+creation, deletion and the passage of time, under each replacement
+policy, checking the storage invariants that page control must never
+break — each page has exactly one home, censuses agree with the
+hardware, resident pages stay in load order (replacement rounds
+depend on it), and data written is data read back.
 """
 
 import pytest
@@ -22,22 +24,25 @@ from repro.hw.clock import Simulator
 from repro.hw.memory import MemoryHierarchy
 from repro.proc.scheduler import TrafficController
 from repro.vm.page_control import make_page_control
+from repro.vm.replacement import make_policy
 from repro.vm.segment_control import ActiveSegmentTable
 
 
 class PageControlMachine(RuleBasedStateMachine):
-    @initialize(kind=st.sampled_from(list(PageControlKind)))
-    def setup(self, kind):
+    @initialize(kind=st.sampled_from(list(PageControlKind)),
+                policy=st.sampled_from(["clock", "fifo", "lru"]))
+    def setup(self, kind, policy):
         config = SystemConfig(
             page_size=8, core_frames=6, bulk_frames=10, disk_frames=128,
         )
         self.config = config
-        sim = Simulator()
-        tc = TrafficController(sim, config)
+        self.sim = Simulator()
+        tc = TrafficController(self.sim, config)
         self.hierarchy = MemoryHierarchy(config)
         self.ast = ActiveSegmentTable(self.hierarchy)
         self.pc = make_page_control(
-            kind, sim, tc, self.hierarchy, self.ast, config
+            kind, self.sim, tc, self.hierarchy, self.ast, config,
+            make_policy(policy),
         )
         self.segments = {}
         self.shadow = {}   # (uid, pageno, offset) -> expected word
@@ -92,6 +97,10 @@ class PageControlMachine(RuleBasedStateMachine):
         pageno = data.draw(st.integers(0, seg.n_pages - 1))
         self.pc.service_sync(seg, pageno)
 
+    @rule(cycles=st.integers(0, 50))
+    def advance_clock(self, cycles):
+        self.sim.clock.advance(cycles)
+
     @rule(data=st.data())
     def delete_segment(self, data):
         if not self.segments:
@@ -126,6 +135,21 @@ class PageControlMachine(RuleBasedStateMachine):
         }
         census = set(self.pc.resident)
         assert hw_resident == census
+
+    @invariant()
+    def resident_iterates_in_load_order(self):
+        loaded = [rp.loaded_at for rp in self.pc.resident.values()]
+        assert loaded == sorted(loaded)
+
+    @invariant()
+    def bulk_census_matches_homes(self):
+        on_bulk = {
+            (seg.uid, pageno)
+            for seg in self.segments.values()
+            for pageno, home in enumerate(seg.homes)
+            if home is not None and home.level == "bulk"
+        }
+        assert set(self.pc._bulk_pages) == on_bulk
 
     @invariant()
     def core_never_overcommitted(self):

@@ -1,6 +1,8 @@
 """Tests for the two page-control designs."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import PageControlKind, SystemConfig
 from repro.hw.clock import Simulator
@@ -12,15 +14,16 @@ from repro.vm.page_control import (
     SequentialPageControl,
     make_page_control,
 )
+from repro.vm.replacement import LRUPolicy, make_policy
 from repro.vm.segment_control import ActiveSegmentTable
 
 
-def build(config: SystemConfig, kind: PageControlKind):
+def build(config: SystemConfig, kind: PageControlKind, policy=None):
     sim = Simulator()
     tc = TrafficController(sim, config)
     hierarchy = MemoryHierarchy(config)
     ast = ActiveSegmentTable(hierarchy)
-    pc = make_page_control(kind, sim, tc, hierarchy, ast, config)
+    pc = make_page_control(kind, sim, tc, hierarchy, ast, config, policy)
     return sim, tc, hierarchy, ast, pc
 
 
@@ -221,3 +224,138 @@ class TestParallelSpecific:
         tc.run(max_events=1_000_000)
         assert all(p.state is ProcessState.STOPPED for p in procs)
         assert pc.faults_serviced >= sum(s.n_pages for s in segs) - 4
+
+
+class SelectOnly:
+    """A policy stripped to ``select``: page control must build the
+    :class:`Candidate` census for it."""
+
+    def __init__(self, policy):
+        self.name = policy.name
+        self.select = policy.select
+        self.note_loaded = policy.note_loaded
+
+
+class FixedIndexPolicy:
+    """A broken policy: ``select`` returns ``index_of(candidates)``."""
+
+    name = "broken"
+
+    def __init__(self, index_of):
+        self.index_of = index_of
+
+    def select(self, candidates):
+        return self.index_of(candidates)
+
+    def note_loaded(self, slot, time):
+        pass
+
+
+def replacement_round(policy, census, want):
+    """Load one page per ``(used, modified, loaded_at)`` of ``census``
+    through the fault path, set its bits, run one replacement round,
+    and return the victims' page numbers and every page's used bit."""
+    config = SystemConfig(page_size=4, core_frames=48, bulk_frames=48,
+                          disk_frames=128)
+    sim, tc, hierarchy, ast, pc = build(
+        config, PageControlKind.SEQUENTIAL, policy
+    )
+    seg = ast.activate(uid=1, n_pages=len(census))
+    for pageno, (used, modified, loaded_at) in enumerate(census):
+        sim.clock.advance_to(loaded_at)
+        pc.service_sync(seg, pageno)
+        seg.ptws[pageno].used = used
+        seg.ptws[pageno].modified = modified
+    victims = pc._choose_core_victims(want)
+    return [rp.pageno for rp in victims], [ptw.used for ptw in seg.ptws]
+
+
+class TestReplacementRound:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(
+        name=st.sampled_from(["clock", "fifo"]),
+        pages=st.lists(
+            st.tuples(st.booleans(), st.booleans(), st.integers(0, 3)),
+            min_size=1, max_size=40,
+        ),
+        data=st.data(),
+    )
+    def test_victim_position_matches_select(self, name, pages, data):
+        """The oracle for the in-kernel policies' fast path: given only
+        the used bits in load order, they evict what ``select`` over
+        the full census evicts, in the same order, and the sweep leaves
+        the same bits.  Load times never decrease and often tie."""
+        want = data.draw(st.integers(1, len(pages) + 2))
+        census, now = [], 0
+        for used, modified, gap in pages:
+            now += gap
+            census.append((used, modified, now))
+        policy = make_policy(name)
+        assert hasattr(policy, "victim_position")
+        assert replacement_round(policy, census, want) == replacement_round(
+            SelectOnly(make_policy(name)), census, want
+        )
+
+    @pytest.mark.parametrize(
+        "index_of", [lambda cands: -1, lambda cands: len(cands)],
+        ids=["minus_one", "past_the_end"],
+    )
+    def test_bad_index_substitutes_fifo(self, index_of):
+        """A policy index out of range evicts the oldest page, and the
+        round still clears every used bit."""
+        census = [(True, False, 3), (False, True, 5), (True, False, 5),
+                  (False, False, 9)]
+        victims, used = replacement_round(
+            FixedIndexPolicy(index_of), census, want=1
+        )
+        assert victims == [0]
+        assert not any(used)
+        victims, _ = replacement_round(
+            FixedIndexPolicy(index_of), census, want=3
+        )
+        assert victims == [0, 1, 2]
+
+    def test_lru_table_stays_census_sized(self):
+        """Paging many distinct pages through a small core leaves LRU
+        with estimates for the census and the pages loaded since the
+        last round, not for every page it has ever seen."""
+        config = SystemConfig(page_size=4, core_frames=8, bulk_frames=16,
+                              disk_frames=512)
+        policy = LRUPolicy()
+        sim, tc, hierarchy, ast, pc = build(
+            config, PageControlKind.SEQUENTIAL, policy
+        )
+        seg = ast.activate(uid=1, n_pages=400)
+        bound = config.core_frames + pc._core_eviction_batch()
+        for pageno in range(seg.n_pages):
+            sim.clock.advance(10)
+            pc.service_sync(seg, pageno)
+            assert len(policy._last_seen) <= bound
+        assert pc.core_evictions >= seg.n_pages - config.core_frames
+
+
+class TestBulkCensus:
+    def test_census_is_fifo_and_follows_each_page(self, config):
+        """The census lists bulk pages oldest first; a page-in from
+        bulk, a move to disk and a segment flush each remove exactly
+        their own pages from it."""
+        sim, tc, hierarchy, ast, pc = build(config, PageControlKind.SEQUENTIAL)
+        n = config.core_frames
+        a = ast.activate(uid=1, n_pages=n)
+        b = ast.activate(uid=2, n_pages=n)
+        for seg in (a, b):
+            for pageno in range(n):
+                pc.service_sync(seg, pageno)
+        assert list(pc._bulk_pages) == [(1, page) for page in range(n)]
+        # A full core: one round sends b's oldest batch to bulk, then
+        # page 5 of a comes back from bulk.
+        pc.service_sync(a, 5)
+        batch = pc._core_eviction_batch()
+        census = [(1, page) for page in range(n) if page != 5]
+        census += [(2, page) for page in range(batch)]
+        assert list(pc._bulk_pages) == census
+        pc._evict_bulk_move()
+        assert a.homes[0].level == "disk"
+        assert list(pc._bulk_pages) == census[1:]
+        pc.flush_segment(a)
+        assert list(pc._bulk_pages) == [(2, page) for page in range(batch)]

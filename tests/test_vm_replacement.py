@@ -32,6 +32,11 @@ class TestFIFO:
         cands = [cand(0, used=True, loaded_at=1), cand(1, used=False, loaded_at=2)]
         assert policy.select(cands) == 0
 
+    def test_victim_position_reads_no_bit(self):
+        bits = iter([True, False, True])
+        assert FIFOPolicy().victim_position(bits) == 0
+        assert list(bits) == [True, False, True]
+
 
 class TestClock:
     def test_prefers_unused(self):
@@ -56,6 +61,14 @@ class TestClock:
         with pytest.raises(ValueError):
             ClockPolicy().select([])
 
+    def test_victim_position_stops_at_first_unused(self):
+        bits = iter([True, True, False, True, False])
+        assert ClockPolicy().victim_position(bits) == 2
+        assert list(bits) == [True, False]
+
+    def test_victim_position_all_used_is_first(self):
+        assert ClockPolicy().victim_position([True, True, True]) == 0
+
 
 class TestLRU:
     def test_untouched_page_evicted_before_touched(self):
@@ -77,6 +90,19 @@ class TestLRU:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             LRUPolicy().select([])
+
+    def test_round_forgets_pages_outside_its_census(self):
+        policy = LRUPolicy()
+        policy.select([cand(1, used=True), cand(2), cand(3)])
+        policy.note_loaded(4, time=0)
+        assert set(policy._last_seen) == {1, 2, 3, 4}
+        # Pages 2 and 3 were evicted; page 1 keeps its estimate.
+        assert policy.select([cand(1), cand(4)]) == 0
+        assert policy._last_seen == {1: 1, 4: 1}
+
+    def test_has_no_victim_position(self):
+        # LRU needs more than the used bits in load order.
+        assert not hasattr(LRUPolicy(), "victim_position")
 
 
 class TestFactory:
