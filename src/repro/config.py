@@ -164,12 +164,15 @@ class SystemConfig:
     #: penetration benches.
     clear_freed_frames: bool = True
 
-    #: Whether references consult the per-process associative memory
-    #: (the 6180 SDW/PTW AM, repro.hw.assoc).  Off re-walks the full
-    #: check chain on every reference; architectural results (faults,
-    #: values, denials) are identical either way — only cost changes.
+    #: Whether references consult an associative memory (the 6180
+    #: SDW/PTW AM, repro.hw.assoc): the process's own on the session
+    #: CPU, each CPU's own in the SMP complex.  Off re-walks the full
+    #: check chain on every reference (and the interpreter single-steps
+    #: every instruction); architectural results (faults, values,
+    #: denials) are identical either way — only cost changes.
     am_enabled: bool = True
-    #: Entries per associative memory (bounded LRU).
+    #: Entries per associative memory (bounded, round-robin
+    #: replacement).
     am_entries: int = 64
 
     #: Optional deterministic fault-injection plan (repro.faults.plan).

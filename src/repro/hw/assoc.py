@@ -5,11 +5,12 @@ pass SDW access + bracket checks and a PTW residence check
 (:func:`repro.hw.segmentation.translate`).  The real 6180 made that
 affordable with small associative memories holding recently used SDWs
 and PTWs, so the full descriptor walk ran only on an AM miss.  This
-module models that cache: a bounded LRU, per process (the simulated
-analogue of per-CPU, since a process's descriptor segment defines its
-translation context), keyed on ``(segno, pageno, ring, intent)`` and
-holding the *result* of a complete check chain — the core frame plus
-the PTW that witnessed it.
+module models that cache: bounded, with round-robin replacement, keyed
+on ``(segno, pageno, ring, intent)`` and holding the *result* of a
+complete check chain — the core frame plus the PTW that witnessed it.
+Each CPU of the SMP complex owns one, as on the 6180; the session CPU
+(kernel-mediated reads and writes, ``CPU.execute`` outside the
+complex) uses one per process, held by its descriptor segment.
 
 Security invariant — the cache must never outlive the decision it
 caches.  Two mechanisms enforce it:
@@ -20,8 +21,9 @@ caches.  Two mechanisms enforce it:
    entries: SDW add/remove (:class:`~repro.hw.segmentation.
    DescriptorSegment`), ACL/brackets revocation (``KernelServices.
    revoke_branch_access``), page eviction and placement
-   (:mod:`repro.vm.page_control`), and address-space teardown.
-   Cross-process events (a page leaving core affects every process
+   (:mod:`repro.vm.page_control`), and address-space teardown.  An SDW
+   change reaches the process's AM and the AM of every CPU connected
+   to its descriptor segment.  Cross-process events (a page leaving core affects every process
    sharing the segment) broadcast through :func:`cam_uid` /
    :func:`cam_all` to every live AM, exactly as the 6180's connect
    mechanism fired ``cam`` on every CPU.

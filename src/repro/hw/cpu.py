@@ -13,6 +13,9 @@ Instructions live in code segments as a Python list (``SDW`` data pages
 hold only *data* words); this keeps the simulation light while leaving
 the protection semantics intact, because instruction fetch still
 performs the FETCH access check against the code segment's SDW.
+Straight-line runs execute as compiled superblocks that make the same
+per-reference checks as the translation's AM-hit path and stop before
+anything else (:meth:`CPU.stepper`).
 
 Dynamic linking: the ``CALLL`` instruction calls through a *linkage
 section*.  An unsnapped link raises a linkage fault which the
@@ -96,8 +99,9 @@ class CodeSegment:
     The interpreter (:meth:`CPU.stepper`) caches a decoded form of
     ``instructions`` — plain ``(opcode, a, b, c)`` int tuples — on the
     segment, so a program shared by thousands of processes decodes
-    once.  The cache is invalidated whenever the instruction list is
-    replaced or resized.
+    once.  Beside it sits the block table (compiled straight-line runs,
+    per page size and entry pc).  Both are dropped whenever the
+    instruction list is replaced or resized.
     """
 
     instructions: list[Instruction]
@@ -105,6 +109,7 @@ class CodeSegment:
     _decoded: list | None = field(default=None, repr=False, compare=False)
     _decoded_src: list | None = field(default=None, repr=False,
                                       compare=False)
+    _blocks: dict | None = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.instructions)
@@ -159,7 +164,253 @@ def _decoded_for(code: CodeSegment) -> list[tuple[int, int, int, int]]:
                    for i in code.instructions]
         code._decoded = decoded
         code._decoded_src = code.instructions
+        code._blocks = None
     return decoded
+
+
+# ---------------------------------------------------------------------------
+# Superblocks: straight-line runs compiled to one Python function each
+# ---------------------------------------------------------------------------
+
+#: Most instructions one block holds.
+_BLOCK_CAP = 32
+
+#: Block-table slot of a pc whose block has not been compiled yet.
+_UNCOMPILED = object()
+
+#: A block stops before these: they change frames or end the run.
+_STOPS = frozenset({_CALL, _CALLL, _RET, _HALT})
+
+_BRANCHES = frozenset({_JMP, _JZ, _JNZ})
+
+#: Opcodes whose ``a`` operand the block formats into its source.
+_USES_A = frozenset({_PUSHI, _LOAD, _STORE, _LOADI, _STOREI, _LOADF,
+                     _STOREF, _JMP, _JZ, _JNZ})
+
+#: Opcode -> (values popped, values pushed).
+_STACK_EFFECT = {
+    _PUSHI: (0, 1), _LOAD: (0, 1), _STORE: (1, 0), _LOADI: (1, 1),
+    _STOREI: (2, 0), _LOADF: (0, 1), _STOREF: (1, 0), _NEG: (1, 1),
+    _NOT: (1, 1), _JMP: (0, 0), _JZ: (1, 0), _JNZ: (1, 0),
+    _DUP: (1, 2), _POP: (1, 0), _SWAP: (2, 2),
+    **{op: (2, 1) for op in range(_ADD, _GE + 1) if op != _NEG},
+}
+
+#: Binary opcode -> the expression the single-step path evaluates.
+_BINARY = {
+    _ADD: "{l} + {r}", _SUB: "{l} - {r}", _MUL: "{l} * {r}",
+    _EQ: "int({l} == {r})", _NE: "int({l} != {r})",
+    _LT: "int({l} < {r})", _LE: "int({l} <= {r})",
+    _GT: "int({l} > {r})", _GE: "int({l} >= {r})",
+    _DIV: "int({l} / {r})", _MOD: "{l} - int({l} / {r}) * {r}",
+}
+
+
+class _Block:
+    """One compiled straight-line run of a code segment.
+
+    ``run(stack, slots, entries, ring, core_read, core_write)`` executes
+    it.  It returns the next pc (>= 0) when every instruction ran, or
+    ``~k`` when it stopped before instruction ``k`` (an AM miss, a
+    failed witness, a negative offset, a zero divisor), which the
+    single-step path then runs.  ``refs[k]`` counts the memory
+    references among the first ``k`` instructions, so the caller can
+    charge exactly what single-stepping them would have.
+    """
+
+    __slots__ = ("run", "n", "depth", "max_slot", "refs", "_charged")
+
+    def __init__(self, run, n: int, depth: int, max_slot: int,
+                 refs: tuple[int, ...], charged: list) -> None:
+        self.run = run
+        #: Instructions in the whole block.
+        self.n = n
+        #: Operand-stack values the block consumes from below its entry.
+        self.depth = depth
+        #: Highest frame slot the block reads or writes (-1: none).
+        self.max_slot = max_slot
+        self.refs = refs
+        #: Source line -> (instructions, references) single-stepping
+        #: would have charged when that line raises.
+        self._charged = charged
+
+    def charged(self, exc: BaseException) -> tuple[int, int]:
+        """(instructions, references) to charge for a run that raised
+        ``exc``: every instruction up to and including the one whose
+        line raised, and its reference only once the AM served it."""
+        code = self.run.__code__
+        tb = exc.__traceback__
+        while tb.tb_frame.f_code is not code:
+            tb = tb.tb_next
+        return self._charged[tb.tb_lineno]
+
+
+def _blocks_for(code: CodeSegment, page_size: int) -> list:
+    """The block table of ``code`` for ``page_size``: one slot per pc.
+
+    Call after :func:`_decoded_for`, which drops stale tables.
+    """
+    tables = code._blocks
+    if tables is None:
+        tables = code._blocks = {}
+    table = tables.get(page_size)
+    if table is None:
+        table = tables[page_size] = [_UNCOMPILED] * len(code._decoded)
+    return table
+
+
+def _lit(value) -> str:
+    return repr(value) if value >= 0 else f"({value})"
+
+
+def _compile_block(decoded: list, start: int, page_size: int,
+                   segno: int) -> _Block | None:
+    """Compile the straight-line run at ``start``; None if it would hold
+    fewer than two instructions.
+
+    The run ends at the first branch and stops before a call, return or
+    halt, an operand that is not exactly ``int``, a negative frame slot
+    or constant offset, and a branch out of the segment.  The operand
+    stack becomes locals; only values below the block's entry are
+    popped (all at once, on entry) and every exit pushes the pending
+    values back.
+    """
+    n_inst = len(decoded)
+    # Pass 1: the extent, the entry depth and the frame slots touched.
+    end = start
+    height = low = 0
+    max_slot = -1
+    while end < n_inst and end - start < _BLOCK_CAP:
+        op, a, b, _ = decoded[end]
+        if op in _STOPS or (op in _USES_A and type(a) is not int):
+            break
+        if (op == _LOAD or op == _STORE) and (type(b) is not int or b < 0):
+            break
+        if op == _LOADF or op == _STOREF:
+            if a < 0:
+                break
+            max_slot = max(max_slot, a)
+        if op in _BRANCHES and not 0 <= a < n_inst:
+            break
+        pops, pushes = _STACK_EFFECT[op]
+        height -= pops
+        low = min(low, height)
+        height += pushes
+        end += 1
+        if op in _BRANCHES:
+            break
+    n = end - start
+    if n < 2:
+        return None
+    depth = -low
+
+    # Pass 2: the source.  ``sym`` is the pending operand stack (ints
+    # are literals, strs are locals); ``charged[line]`` is what a raise
+    # on that line costs.
+    src = ["def block(stack, slots, entries, ring, core_read, core_write):"]
+    charged = [(0, 0), (0, 0)]
+    sym: list = [f"s{i}" for i in range(depth)]
+    for i in reversed(range(depth)):
+        src.append(f"s{i} = stack.pop()")
+        charged.append((0, 0))
+    refs = [0]
+    fresh = 0
+
+    def val(x) -> str:
+        return _lit(x) if type(x) is int else x
+
+    def push(pending: list) -> str:
+        if len(pending) == 1:
+            return f"stack.append({val(pending[0])})"
+        return f"stack.extend(({', '.join(map(val, pending))}))"
+
+    def exit_with(pending: list, ret: int) -> str:
+        if not pending:
+            return f"return {ret}"
+        return f"{push(pending)}; return {ret}"
+
+    def emit(line: str, served: bool = False) -> None:
+        # A raise here charges instruction j, and its reference once the
+        # AM has served it.
+        src.append(line)
+        charged.append((j + 1, refs[-1] + served))
+
+    def assign(expr: str, served: bool = False) -> None:
+        nonlocal fresh
+        emit(f"v{fresh} = {expr}", served)
+        sym.append(f"v{fresh}")
+        fresh += 1
+
+    for j in range(n):
+        op, a, b, _ = decoded[start + j]
+        stop = exit_with(sym, ~j)
+        if op in (_LOAD, _STORE, _LOADI, _STOREI):
+            intent = "R" if op in (_LOAD, _LOADI) else "W"
+            if op == _LOAD or op == _STORE:
+                pg, word = divmod(b, page_size)
+                off = _lit(b)
+                emit(f"e = entries.get(({a}, {pg}, ring, {intent}))")
+            else:
+                off, word = val(sym.pop()), "w"
+                emit(f"if {off} < 0: {stop}")
+                emit(f"p = {off} // {page_size}")
+                emit(f"w = {off} - p * {page_size}")
+                emit(f"e = entries.get(({a}, p, ring, {intent}))")
+            emit(f"if e is None: {stop}")
+            emit("fr, ptw, bnd = e")
+            emit(f"if {off} >= bnd or not ptw.in_core or ptw.frame != fr: "
+                 f"{stop}")
+            emit("ptw.used = True", served=True)
+            if intent == "R":
+                assign(f"core_read(fr, {word})", served=True)
+            else:
+                emit("ptw.modified = True", served=True)
+                emit(f"core_write(fr, {word}, {val(sym.pop())})",
+                     served=True)
+            refs.append(refs[-1] + 1)
+            continue
+        if op == _PUSHI:
+            sym.append(a)
+        elif op == _LOADF:
+            assign(f"slots[{a}]")
+        elif op == _STOREF:
+            emit(f"slots[{a}] = {val(sym.pop())}")
+        elif op in _BINARY:
+            rhs = sym.pop()
+            r, l = val(rhs), val(sym.pop())
+            if (op == _DIV or op == _MOD) and not (type(rhs) is int
+                                                   and rhs != 0):
+                emit(f"if {r} == 0: {stop}")
+            assign(_BINARY[op].format(l=l, r=r))
+        elif op == _NEG:
+            assign(f"-{val(sym.pop())}")
+        elif op == _NOT:
+            assign(f"0 if {val(sym.pop())} else 1")
+        elif op == _DUP:
+            sym.append(sym[-1])
+        elif op == _POP:
+            sym.pop()
+        elif op == _SWAP:
+            sym[-1], sym[-2] = sym[-2], sym[-1]
+        elif op == _JMP:
+            emit(exit_with(sym, a))
+        else:  # JZ / JNZ
+            cond = val(sym.pop())
+            if sym:
+                emit(push(sym))
+            emit(f"if {cond} {'==' if op == _JZ else '!='} 0: return {a}")
+            emit(f"return {start + n}")
+        refs.append(refs[-1])
+    if op not in _BRANCHES:
+        src.append(exit_with(sym, start + n))
+        charged.append((n, refs[-1]))
+
+    source = "\n    ".join(src) + "\n"
+    namespace = {"R": Intent.READ, "W": Intent.WRITE}
+    exec(compile(source, f"<block seg {segno} pc {start}>", "exec"),
+         namespace)
+    return _Block(namespace["block"], n, depth, max_slot, tuple(refs),
+                  charged)
 
 
 @dataclass
@@ -297,7 +548,8 @@ class CPU:
         With a private (per-CPU) AM, connecting the CPU to a different
         descriptor segment cams it first: entries witnessed against the
         previous process's dseg must never satisfy another process's
-        references.
+        references.  The dseg learns of the connection, so its SDW
+        changes cam this AM too.
         """
         if not self.am_enabled:
             return None
@@ -306,6 +558,8 @@ class CPU:
         if self._am_dseg is not ctx.dseg:
             if self._am_dseg is not None:
                 self.private_am.cam()
+                self._am_dseg.disconnect(self.private_am)
+            ctx.dseg.connect(self.private_am)
             self._am_dseg = ctx.dseg
         return self.private_am
 
@@ -426,22 +680,36 @@ class CPU:
 
         Every instruction fetch passes the FETCH check and every operand
         reference passes :func:`translate` (rings, bounds, paging), with
-        the translation cost — AM hit or full walk — charged.  The
-        Python is shaped for speed: instructions are decoded to int
-        tuples once per code segment, the AM probe and the translate
-        hit case are inlined (any non-hit falls back to
-        :meth:`_translate` *before* touching a counter), and cost
-        constants and bound methods are hoisted out of the loop.
+        the translation cost — AM hit or full walk — charged.
 
-        Counter updates are *batched*: the pure-hit loop accumulates
-        cycle, hit, and instruction deltas in locals and folds them into
-        the instance counters only at a boundary — a quantum yield, any
-        excursion out of the inlined paths (translate walk, fetch miss,
-        call, linkage), a return, or an exception (the ``finally``
-        below).  No event runs and nothing reads the counters between
-        boundaries, so every *observable* value — what the SMP round
-        accounting, the mid-fault virtual clock, the meters, and the
-        snapshot see — is exact.
+        Two paths run instructions, and only the machine's state picks
+        one.  A *block* is the straight-line run starting at the pc,
+        compiled once per code segment into one Python function (see
+        :func:`_compile_block`).  It runs when the AM is on and holds
+        the fetch entry for (segno, ring); when its cost up to its last
+        instruction, every reference an AM hit, still leaves the CPU
+        short of the target; when the instruction budget covers it; and
+        when the operand stack and the frame hold what it touches.
+        Otherwise one instruction single-steps.  A block keeps every
+        check: each reference probes the live AM with the same key and
+        witnesses, sets the PTW bits and touches core in order, and a
+        reference that would miss or fail a witness — or a zero divisor
+        — ends the block before that instruction, for the single-step
+        path to run.  Nothing inside a block inserts into or drops from
+        the AM, so its one fetch check is exact, and a block caches no
+        decision: no cam or revocation has to reach it.
+
+        Counter updates are *batched*: the single-step fetch hits and
+        the blocks accumulate cycle, hit, and instruction deltas in
+        locals and fold them into the instance counters only at a
+        boundary — a quantum yield, any excursion out of the loop
+        (translation, fetch miss, call, linkage), a return, or an
+        exception (the ``finally`` below; a block that raises partway
+        first charges exactly what single-stepping up to the raise
+        would have).  No event runs and nothing reads the counters
+        between boundaries, so every *observable* value — what the SMP
+        round accounting, the mid-fault virtual clock, the meters, and
+        the snapshot see — is exact.
         """
         code = ctx.code_segment(segno)
         sdw = ctx.dseg.get(segno)
@@ -453,6 +721,7 @@ class CPU:
         frames: list[_Frame] = [
             _Frame(-1, -1, ctx.ring, list(args or []), 0)
         ]
+        slots = frames[-1].slots
         ctx.ring = new_ring
         pc = entry
         executed = 0
@@ -464,7 +733,8 @@ class CPU:
         hit_cost = costs.am_hit
         walk_cost = costs.translate_walk
         core_cost = costs.core_access
-        hit_core = hit_cost + core_cost
+        fetch_inst = hit_cost + inst_cost  # a fetch hit plus execution
+        hit_core = hit_cost + core_cost    # a reference served by the AM
         page_size = self.page_size
         core_read = self.core.read
         core_write = self.core.write
@@ -474,6 +744,7 @@ class CPU:
         R, W, F = Intent.READ, Intent.WRITE, Intent.FETCH
         ring = ctx.ring
         decoded = _decoded_for(code)
+        blocks = _blocks_for(code, page_size)
         n_inst = len(decoded)
         fkey = fetch_key(segno, ring)
 
@@ -491,6 +762,47 @@ class CPU:
             while True:
                 limit = target if target is not None else _NO_TARGET
                 while base + cyc + stall < limit:
+                    if (entries is not None and fkey in entries
+                            and 0 <= pc < n_inst):
+                        blk = blocks[pc]
+                        if blk is _UNCOMPILED:
+                            blk = blocks[pc] = _compile_block(
+                                decoded, pc, page_size, segno)
+                        # The cost before the block's last instruction
+                        # must leave the CPU short of the target, as it
+                        # would before each single step.
+                        if (blk is not None
+                                and base + cyc + stall
+                                + (blk.n - 1) * fetch_inst
+                                + blk.refs[-2] * hit_core < limit
+                                and executed + blk.n <= max_instructions
+                                and len(stack) >= blk.depth
+                                and len(slots) > blk.max_slot):
+                            try:
+                                nxt = blk.run(stack, slots, entries, ring,
+                                              core_read, core_write)
+                            except BaseException as exc:
+                                k, m = blk.charged(exc)
+                                ninst += k
+                                hits += k + m
+                                hitc += (k + m) * hit_cost
+                                cyc += k * fetch_inst + m * hit_core
+                                raise
+                            k = blk.n if nxt >= 0 else ~nxt
+                            m = blk.refs[k]
+                            executed += k
+                            ninst += k
+                            hits += k + m
+                            hitc += (k + m) * hit_cost
+                            cyc += k * fetch_inst + m * hit_core
+                            if nxt >= 0:
+                                pc = nxt
+                                continue
+                            # Stopped early: the instruction it stopped
+                            # before single-steps now (still short of
+                            # the target and inside the budget).
+                            pc += k
+                    # Single step.
                     if executed >= max_instructions:
                         raise ExecutionLimit(
                             f"exceeded {max_instructions} instructions"
@@ -552,23 +864,8 @@ class CPU:
                                     "operand stack underflow"
                                 )
                             off = stack.pop()
-                        if entries is not None and off >= 0:
-                            pg = off // page_size
-                            e = entries.get((a, pg, ring, R))
-                            if e is not None:
-                                fr, ptw, bnd = e
-                                if (off < bnd and ptw.in_core
-                                        and ptw.frame == fr):
-                                    hits += 1
-                                    cyc += hit_core
-                                    hitc += hit_cost
-                                    ptw.used = True
-                                    stack.append(
-                                        core_read(fr, off - pg * page_size)
-                                    )
-                                    continue
-                        # Boundary: a fault inside the walk reads the
-                        # live counters for its virtual time.
+                        # Boundary: a fault inside the translation reads
+                        # the live counters for its virtual time.
                         self.cycles += cyc
                         self.walk_cycles += wlkc
                         self.instructions_executed += ninst
@@ -586,38 +883,17 @@ class CPU:
                     elif op == _STORE or op == _STOREI:
                         if op == _STORE:
                             off = b
-                            if not stack:
-                                raise IllegalInstruction(
-                                    "operand stack underflow"
-                                )
-                            value = stack.pop()
                         else:
                             if not stack:
                                 raise IllegalInstruction(
                                     "operand stack underflow"
                                 )
                             off = stack.pop()
-                            if not stack:
-                                raise IllegalInstruction(
-                                    "operand stack underflow"
-                                )
-                            value = stack.pop()
-                        if entries is not None and off >= 0:
-                            pg = off // page_size
-                            e = entries.get((a, pg, ring, W))
-                            if e is not None:
-                                fr, ptw, bnd = e
-                                if (off < bnd and ptw.in_core
-                                        and ptw.frame == fr):
-                                    hits += 1
-                                    cyc += hit_core
-                                    hitc += hit_cost
-                                    ptw.used = True
-                                    ptw.modified = True
-                                    core_write(
-                                        fr, off - pg * page_size, value
-                                    )
-                                    continue
+                        if not stack:
+                            raise IllegalInstruction(
+                                "operand stack underflow"
+                            )
+                        value = stack.pop()
                         self.cycles += cyc
                         self.walk_cycles += wlkc
                         self.instructions_executed += ninst
@@ -633,20 +909,17 @@ class CPU:
                         stall = self.stall_cycles
                         core_write(fr, word, value)
                     elif op == _LOADF:
-                        frame = frames[-1]
-                        slots = frame.slots
                         if 0 <= a < len(slots):
                             stack.append(slots[a])
                         else:
-                            self._check_slot(frame, a)
+                            self._check_slot(frames[-1], a)
                     elif op == _STOREF:
-                        frame = frames[-1]
-                        self._check_slot(frame, a, grow=True)
+                        self._check_slot(frames[-1], a, grow=True)
                         if not stack:
                             raise IllegalInstruction(
                                 "operand stack underflow"
                             )
-                        frame.slots[a] = stack.pop()
+                        slots[a] = stack.pop()
                     elif _ADD <= op <= _GE and op != _NEG:
                         if not stack:
                             raise IllegalInstruction(
@@ -743,7 +1016,9 @@ class CPU:
                         base = self.cycles
                         stall = self.stall_cycles
                         ring = ctx.ring
+                        slots = frames[-1].slots
                         decoded = _decoded_for(code)
+                        blocks = _blocks_for(code, page_size)
                         n_inst = len(decoded)
                         fkey = fetch_key(segno, ring)
                     elif op == _CALLL:
@@ -763,7 +1038,9 @@ class CPU:
                         base = self.cycles
                         stall = self.stall_cycles
                         ring = ctx.ring
+                        slots = frames[-1].slots
                         decoded = _decoded_for(code)
+                        blocks = _blocks_for(code, page_size)
                         n_inst = len(decoded)
                         fkey = fetch_key(segno, ring)
                     elif op == _RET:
@@ -777,7 +1054,9 @@ class CPU:
                         segno = frame.return_segno
                         code = ctx.code_segment(segno)
                         pc = frame.return_pc
+                        slots = frames[-1].slots
                         decoded = _decoded_for(code)
+                        blocks = _blocks_for(code, page_size)
                         n_inst = len(decoded)
                         fkey = fetch_key(segno, ring)
                     elif op == _HALT:

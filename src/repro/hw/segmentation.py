@@ -131,26 +131,46 @@ class DescriptorSegment:
     """The per-process table mapping segment numbers to SDWs.
 
     Carries the process's associative memory: cached results of
-    :func:`translate` over these SDWs.  Changing the table fires the
-    selective ``cam`` so no cached translation outlives its SDW.
+    :func:`translate` over these SDWs.  A CPU of the SMP complex caches
+    them in its own AM instead, and connects that AM here while it runs
+    the process.  Changing an SDW fires the selective ``cam`` on every
+    one of them — on the 6180, a connect to each CPU — so no cached
+    translation outlives its SDW.
     """
+
+    #: Per-CPU AMs currently connected.  A tuple, defaulting to the
+    #: class's empty one, so a table no CPU runs allocates nothing.
+    _cpu_ams: tuple = ()
 
     def __init__(self) -> None:
         self._sdws: dict[int, SDW] = {}
         self.am = AssociativeMemory()
 
+    def connect(self, am: AssociativeMemory) -> None:
+        """A CPU now translates this table's references through ``am``."""
+        self._cpu_ams += (am,)
+
+    def disconnect(self, am: AssociativeMemory) -> None:
+        self._cpu_ams = tuple(x for x in self._cpu_ams if x is not am)
+
+    def invalidate(self, segno: int) -> None:
+        """Cam ``segno`` in this table's AM and every connected one."""
+        self.am.invalidate_segno(segno)
+        for am in self._cpu_ams:
+            am.invalidate_segno(segno)
+
     def add(self, sdw: SDW) -> None:
         if sdw.segno in self._sdws:
             raise ValueError(f"segment number {sdw.segno} already in use")
         self._sdws[sdw.segno] = sdw
-        self.am.invalidate_segno(sdw.segno)
+        self.invalidate(sdw.segno)
 
     def remove(self, segno: int) -> SDW:
         try:
             sdw = self._sdws.pop(segno)
         except KeyError:
             raise SegmentFault(segno, f"segment {segno} not in address space") from None
-        self.am.invalidate_segno(segno)
+        self.invalidate(segno)
         return sdw
 
     def get(self, segno: int) -> SDW:
@@ -255,6 +275,11 @@ def translate(
             f"offset {offset} outside bound {sdw.bound} of segment {segno}"
         )
     check_access(sdw, ring, intent)
+    if pageno >= len(sdw.page_table):
+        raise BoundsViolation(
+            f"offset {offset} past the {len(sdw.page_table)}-page table "
+            f"of segment {segno}"
+        )
     ptw = sdw.page_table[pageno]
     if not ptw.in_core or ptw.frame is None:
         raise MissingPageFault(segno, pageno)

@@ -19,9 +19,11 @@ every run **bit-for-bit reproducible**:
 * **Per-CPU hardware.**  Each CPU owns a private associative memory
   (on the 6180 the AM is processor hardware, not process state),
   cleared by a full cam whenever the CPU is connected to a different
-  descriptor segment and listening — like every live AM — to the
-  system-wide ``cam_uid``/``cam_all`` broadcasts page control issues
-  when a frame moves.
+  descriptor segment, cammed selectively when an SDW of the connected
+  descriptor segment changes (a revocation, a terminate), and
+  listening — like every live AM — to the system-wide
+  ``cam_uid``/``cam_all`` broadcasts page control issues when a frame
+  moves.
 
 * **Lock discipline.**  Dispatch happens under the global
   traffic-control lock; a missing-page fault is serviced by page

@@ -12,8 +12,14 @@ outcomes, only cost.
 import pytest
 
 from repro import MulticsSystem, kernel_config
-from repro.errors import AccessViolation, BoundsViolation, MissingPageFault
+from repro.errors import (
+    AccessViolation,
+    BoundsViolation,
+    MissingPageFault,
+    SegmentFault,
+)
 from repro.hw.assoc import AssociativeMemory, cam_uid
+from repro.hw.cpu import Instruction as I, Op
 from repro.hw.rings import user_brackets
 from repro.hw.segmentation import (
     PTW,
@@ -24,6 +30,7 @@ from repro.hw.segmentation import (
     translate,
 )
 from repro.proc.process import Process
+from repro.user.object_format import ObjectSegment
 
 PAGE = 16
 
@@ -333,3 +340,71 @@ class TestOffsetHandling:
         hit = translate(dseg, 5, PAGE + 5, 4, Intent.READ, PAGE, am=dseg.am)
         assert dseg.am.hits == 1
         assert walk == hit == (11, 5)
+
+
+# ---------------------------------------------------------------------------
+# Revocation reaches the per-CPU AMs of the SMP complex
+# ---------------------------------------------------------------------------
+
+def _store_loop(data_segno: int, times: int) -> ObjectSegment:
+    """``for i in range(times): M[data][0] = i``; returns ``times``."""
+    return ObjectSegment("storer", code=[
+        I(Op.PUSHI, 0), I(Op.STOREF, 0),
+        I(Op.LOADF, 0), I(Op.PUSHI, times), I(Op.LT), I(Op.JZ, 14),
+        I(Op.LOADF, 0), I(Op.STORE, data_segno, 0),
+        I(Op.LOADF, 0), I(Op.PUSHI, 1), I(Op.ADD), I(Op.STOREF, 0),
+        I(Op.JMP, 2), I(Op.HALT),
+        I(Op.LOADF, 0), I(Op.RET),
+    ], definitions={"main": 0})
+
+
+def _downgrade_acl(system, alice, seg):
+    # "Alice.*" would not override the creator's own term.
+    alice.set_acl("victim", "Alice.Crypto.*", "r")
+
+
+def _tighten_brackets(system, alice, seg):
+    admin = Process("admin", ring=1, principal=alice.process.principal)
+    sup = system.supervisor
+    handle = sup.call(admin, "hcs_$get_root")
+    for name in ("udd", "Crypto", "Alice"):
+        handle = sup.call(admin, "hcs_$initiate", handle, name)
+    sup.call(admin, "hcs_$set_ring_brackets", handle, "victim", 1, 1, 1)
+
+
+def _terminate(system, alice, seg):
+    alice.call("hcs_$terminate", seg)
+
+
+class TestRevocationReachesCpuAms:
+    """A kernel call between two rounds of the SMP complex revokes the
+    running job's access: its next store must fault with the AM on just
+    as with it off, on one CPU or two, although the CPU that runs the
+    job keeps its descriptor segment (and so its AM) across rounds."""
+
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    @pytest.mark.parametrize("am_enabled", [True, False])
+    @pytest.mark.parametrize("change,fault", [
+        (_downgrade_acl, AccessViolation),
+        (_tighten_brackets, AccessViolation),
+        (_terminate, SegmentFault),
+    ], ids=["acl", "brackets", "terminate"])
+    def test_change_between_rounds_stops_the_job(self, change, fault,
+                                                 am_enabled, n_cpus):
+        system = small_system(am_enabled=am_enabled)
+        alice = system.login("Alice", "Crypto", "alice-pw")
+        seg = alice.create_segment("victim", n_pages=1)
+        job = alice.program_job(
+            alice.install_object("storer", _store_loop(seg, 2000)))
+        rounds = []
+
+        def hook(complex_):
+            rounds.append(complex_.rounds)
+            if len(rounds) == 2:
+                change(system, alice, seg)
+
+        system.cpu_complex(n_cpus=n_cpus).run_jobs(
+            [job], on_round=hook, quantum=500)
+        assert len(rounds) == 3, "the job must die in the round after"
+        assert job.result is None
+        assert isinstance(job.error, fault)

@@ -20,17 +20,19 @@ Two kinds of properties:
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro import MulticsSystem, kernel_config, legacy_config
 from repro.errors import KernelDenial, ReproError, SegmentFault
 from repro.faults.harness import harness_config, security_decisions
 from repro.faults.plan import FaultPlan, FaultSpec
+from repro.hw.assoc import AssociativeMemory
 from repro.hw.cpu import Instruction, Link, Op
 from repro.hw.rings import kernel_gate_brackets
 from repro.kernel.locks import KernelLock
 
 from tests.test_hw_cpu import Ctx, make_cpu
+from tests.test_superblocks import fingerprint, one_cycle, run_free
 
 SEEDS = [7, 19, 1975]
 N_OPS = 40
@@ -320,23 +322,30 @@ class _ProcessLikeCtx(Ctx):
                 from None
 
 
+#: Ops that neither branch nor leave the frame, drawn three times as
+#: often as the rest so programs hold straight-line runs (superblocks).
+_STRAIGHT_LINE = [op for op in Op if op not in (
+    Op.JMP, Op.JZ, Op.JNZ, Op.CALL, Op.CALLL, Op.RET, Op.HALT)]
+
 _instructions = st.builds(
     Instruction,
-    st.sampled_from(list(Op)),
-    st.integers(min_value=-2, max_value=6),
+    st.sampled_from(_STRAIGHT_LINE * 3 + list(Op)),
+    # Small values name segments, slots and links; the wider range
+    # puts branch targets before, inside and past a 24-instruction
+    # program.
+    st.one_of(st.integers(min_value=-2, max_value=6),
+              st.integers(min_value=-3, max_value=26)),
     st.integers(min_value=-2, max_value=20),
     st.integers(min_value=0, max_value=2),
 )
 
+_programs = st.lists(_instructions, min_size=1, max_size=24)
 
-@settings(max_examples=400, derandomize=True, deadline=None)
-@given(st.lists(_instructions, min_size=1, max_size=8),
-       st.lists(st.integers(min_value=-3, max_value=3), max_size=2))
-def test_random_program_returns_or_raises_a_repro_error(program, args):
-    """Whatever a short program does — underflow the operand stack,
-    call or load through any segment number, jump anywhere, loop — the
-    CPU either returns a value or raises a :class:`ReproError` the
-    supervisor can contain.  No Python exception may escape."""
+
+def _program_world(program, private_am: bool = False):
+    """The random program as segment 1, beside a one-page data segment
+    (2), a ring-0 gate (3), a data page that faults in on first touch
+    (4), and a snapped and an unsnapped link."""
     ctx = _ProcessLikeCtx()
     ctx.add_code(1, program)
     ctx.add_data(2)
@@ -345,9 +354,57 @@ def test_random_program_returns_or_raises_a_repro_error(program, args):
     ctx.add_data(4, in_core=False)
     ctx.links = [Link("gate$entry", snapped=True, segno=3, offset=0),
                  Link("missing$entry")]
-    cpu = make_cpu()
+
+    def page_in(ctx, segno, pageno):
+        ctx.dseg.get(segno).page_table[pageno].place(cpu.core.allocate())
+        cpu.stall(5)
+
+    cpu = make_cpu(on_missing_page=page_in,
+                   private_am=AssociativeMemory() if private_am else None)
     cpu.core.allocate()  # frame 0 backs segment 2's page
+    return cpu, ctx
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(_programs,
+       st.lists(st.integers(min_value=-3, max_value=3), max_size=2))
+@example([Instruction(Op.LOAD, 1, 0)], [])  # a page past the table
+def test_random_program_returns_or_raises_a_repro_error(program, args):
+    """Whatever a program does — underflow the operand stack, call or
+    load through any segment number, jump anywhere, loop — the CPU
+    either returns a value or raises a :class:`ReproError` the
+    supervisor can contain.  No Python exception may escape."""
+    cpu, ctx = _program_world(program)
     try:
         cpu.execute(ctx, 1, 0, args, max_instructions=64)
     except ReproError:
         pass
+
+
+@settings(max_examples=600, derandomize=True, deadline=None)
+@given(_programs,
+       st.lists(st.integers(min_value=-3, max_value=3), max_size=2),
+       st.integers(min_value=1, max_value=100),
+       st.booleans())
+@example([Instruction(Op.PUSHI, 0), Instruction(Op.JZ, -2)], [], 64, False)
+@example([Instruction(Op.PUSHI, 2.5), Instruction(Op.PUSHI, 2),
+          Instruction(Op.MUL), Instruction(Op.STORE, 2, 1.0),
+          Instruction(Op.LOADF, True), Instruction(Op.PUSHI, "x"),
+          Instruction(Op.ADD), Instruction(Op.RET)], [4], 64, True)
+@example([Instruction(Op.LOADF, 0), Instruction(Op.PUSHI, 3),
+          Instruction(Op.STOREI, 2), Instruction(Op.LOAD, 2, 3),
+          Instruction(Op.RET)], [1.5], 64, False)
+@example([Instruction(Op.LOAD, 1, 0), Instruction(Op.RET)], [], 64, True)
+def test_blocks_match_one_cycle_stepping(program, args, budget,
+                                         private_am):
+    """Differential oracle for the interpreter's superblocks:
+    ``CPU.execute`` (blocks wherever they fit) and one-cycle stepping
+    (never a block) reach the same outcome — value, or exception type
+    and message — with identical CPU and AM counters, core words and
+    PTW bits."""
+    cpu_b, ctx_b = _program_world(program, private_am)
+    got = run_free(cpu_b, ctx_b, args, budget)
+    cpu_s, ctx_s = _program_world(program, private_am)
+    want = one_cycle(cpu_s, ctx_s, args=args, max_instructions=budget)
+    assert got == want
+    assert fingerprint(cpu_b, ctx_b) == fingerprint(cpu_s, ctx_s)
