@@ -83,9 +83,6 @@ def smp_run(n_cpus: int, frames: dict | None = None) -> dict:
     locks = system.services.locks
     return {
         "system": system,
-        # Snapshot *now*: cam broadcasts are system-wide (any AM still
-        # alive hears them), so a later boot in the same process would
-        # bump this system's am.invalidations.
         "snapshot_json": system.metrics.to_json(),
         "complex": complex_,
         "jobs": jobs,

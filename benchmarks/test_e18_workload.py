@@ -43,7 +43,7 @@ DIGEST_1K = "a6652d06806545a2f202570ef8af7f85d7e9d4b6e7096d33ea0a6a7e3abbb6d9"
 def workload_run(n_users: int, seed: int = SEED) -> dict:
     """Boot, drive a seeded population, return numbers + identity
     artifacts (trace/clock/snapshot serialized before the system is
-    torn down, so a later boot's cam broadcasts cannot touch them)."""
+    torn down)."""
     system = MulticsSystem(
         kernel_config(**FRAMES, audit_capacity=AUDIT_CAPACITY)
     ).boot()

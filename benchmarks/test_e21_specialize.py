@@ -1,5 +1,5 @@
 """E21 — specialized per-workload kernels with a penetration-regression
-gate (ROADMAP item 2: the MultiK/KASR direction).
+gate (the KASR direction: one kernel cut down to its observed surface).
 
 For each workload class (shell, compile, io, paging) a training run of
 the seeded workload is profiled by :class:`KernelProfiler`;
@@ -18,18 +18,12 @@ Measured, per profile:
   against every specialized kernel, requiring all attacks denied with
   deny-completeness in the bounded audit (every refused gate call the
   metering plane counted is a denied call record, none dropped).
-
-An orchestrator leg runs all four specialized kernels side-by-side
-over one shared substrate, each tenant class admitted through its own
-listener and denied (audited) on the first cross-class gate.
 """
 
 import json
 import time
 
 from repro import MulticsSystem, kernel_config
-from repro.errors import SpecializationDenial
-from repro.kernel.orchestrator import KernelOrchestrator
 from repro.kernel.specialize import KernelProfiler, specialize
 from repro.security.flaws import run_penetration_suite
 from repro.workloads import WorkloadDriver, generate_population
@@ -152,49 +146,15 @@ def specialize_sweep(n_users: int) -> dict:
     return per_profile
 
 
-def orchestrator_leg(per_profile: dict) -> dict:
-    """All four specialized kernels over one substrate: every tenant's
-    own ops granted, the first cross-class gate denied and audited."""
-    system = MulticsSystem(kernel_config()).boot()
-    orch = KernelOrchestrator(system)
-    for name, leg in per_profile.items():
-        orch.add_tenant(name, leg["train"]["profile"])
-    sessions = {}
-    for i, name in enumerate(per_profile):
-        sessions[name] = orch.login(
-            name, f"T{i}", "Load", f"t{i}-pw"
-        )
-    # Own-class work: granted by each tenant's own kernel.
-    for name, session in sessions.items():
-        segno = session.create_segment(f"{name}_data", n_pages=1)
-        session.write_words(segno, [1, 2, 3])
-        session.read_words(segno, 3)
-    own_stub_hits = sum(
-        orch.kernel_for(name).gates.deny_stub_hits for name in per_profile
+def replay_snapshot(per_profile: dict) -> dict:
+    """The exported snapshot: the first profile's replay system, which
+    carries the ``specialize.*`` names."""
+    return json.loads(
+        per_profile[PROFILE_NAMES[0]]["replay"]["snapshot_json"]
     )
-    # Cross-class probe: no workload profile ever trained a network
-    # gate, so every tenant's kernel must refuse it (the full kernel
-    # on the same substrate would grant it).
-    cross_denials = 0
-    for name, session in sessions.items():
-        assert "net_$send" in system.supervisor.gates
-        try:
-            orch.call(session.process, "net_$send", "remote-host", "leak")
-        except SpecializationDenial:
-            cross_denials += 1
-    snapshot = system.metrics.snapshot()
-    return {
-        "tenants": len(per_profile),
-        "own_stub_hits": own_stub_hits,
-        "cross_denials": cross_denials,
-        "routed_calls": orch.routed_calls,
-        "deny_complete": deny_complete(system),
-        "snapshot_json": system.metrics.to_json(),
-        "gauges": snapshot["gauges"],
-    }
 
 
-def _derive(per_profile: dict, orch: dict, n_users: int) -> dict:
+def _derive(per_profile: dict, n_users: int) -> dict:
     derived = {
         "train_users": n_users,
         "gates_total": next(
@@ -215,9 +175,6 @@ def _derive(per_profile: dict, orch: dict, n_users: int) -> dict:
         "all_deny_complete": all(
             leg["pen"]["deny_complete"] for leg in per_profile.values()
         ),
-        "orchestrator_tenants": orch["tenants"],
-        "orchestrator_cross_denials": orch["cross_denials"],
-        "orchestrator_own_stub_hits": orch["own_stub_hits"],
     }
     for name, leg in per_profile.items():
         surface = leg["surface"]
@@ -260,18 +217,9 @@ def test_e21_specialize(report, export):
     )
     assert max_reduction >= GATE_REDUCTION_FLOOR
 
-    # (e) orchestrated side-by-side kernels: own work granted,
-    # cross-class work denied and audited.
-    orch = orchestrator_leg(per_profile)
-    assert orch["own_stub_hits"] == 0
-    assert orch["cross_denials"] == orch["tenants"] == len(PROFILE_NAMES)
-    assert orch["deny_complete"]
-    assert orch["gauges"]["specialize.tenants"] == len(PROFILE_NAMES)
-
-    derived = _derive(per_profile, orch, TRAIN_USERS)
+    derived = _derive(per_profile, TRAIN_USERS)
     derived["wall_seconds"] = round(time.perf_counter() - t0, 4)
-    snapshot = json.loads(orch["snapshot_json"])
-    export("E21", snapshot, extra=derived)
+    export("E21", replay_snapshot(per_profile), extra=derived)
     rows = [
         "E21: specialized per-workload kernels (profiler -> deny stubs)",
         f"  full inventory: {derived['gates_total']} gates; floor "
@@ -287,11 +235,6 @@ def test_e21_specialize(report, export):
             f"E11 {leg['pen']['successes']}/{leg['pen']['attempted']} "
             f"attacks, identical={leg['identical']}"
         )
-    rows.append(
-        f"  orchestrator: {orch['tenants']} tenants side-by-side, "
-        f"{orch['cross_denials']} cross-class denials, "
-        f"0 own-class stub hits"
-    )
     report("E21", rows)
 
 
@@ -300,7 +243,6 @@ def bench_numbers(quick: bool = False) -> tuple[dict, dict]:
     t0 = time.perf_counter()
     n_users = QUICK_USERS if quick else TRAIN_USERS
     per_profile = specialize_sweep(n_users)
-    orch = orchestrator_leg(per_profile)
-    derived = _derive(per_profile, orch, n_users)
+    derived = _derive(per_profile, n_users)
     derived["wall_seconds"] = round(time.perf_counter() - t0, 4)
-    return derived, json.loads(orch["snapshot_json"])
+    return derived, replay_snapshot(per_profile)

@@ -284,9 +284,7 @@ def main(argv: list[str]) -> int:
               f"E11 {e21['pen_successes_total']}/"
               f"{e21['pen_attempted_total']} attacks  "
               f"identical {e21['all_identical']}  "
-              f"deny-complete {e21['all_deny_complete']}  "
-              f"{e21['orchestrator_tenants']} tenants "
-              f"({e21['orchestrator_cross_denials']} cross denials)")
+              f"deny-complete {e21['all_deny_complete']}")
     if r2 is not None:
         print(f"  chaos: {r2['chaos_events']} events / "
               f"{r2['faults_injected']} faults  "

@@ -155,10 +155,6 @@ class SystemConfig:
     quantum: int = 2000
     #: Low-water mark of free core frames maintained by the core freer.
     free_core_target: int = 4
-    #: Low-water mark of free bulk-store frames.
-    free_bulk_target: int = 8
-    #: Capacity (messages) of the circular network buffer (old design).
-    net_buffer_capacity: int = 8
     #: Whether freed frames are cleared before reuse.  Turning this off
     #: reintroduces the classic "residue" security flaw, used by the
     #: penetration benches.
@@ -182,14 +178,6 @@ class SystemConfig:
     #: describes the shape).  None builds the default single-uplink
     #: topology around the network attachment.
     topology: dict | None = None
-    #: Bounded-retry budget for device and page I/O recovery.
-    max_io_retries: int = 3
-    #: Base backoff, in simulated cycles, between I/O retries (doubles
-    #: per attempt; no wall-clock sleeps anywhere).
-    retry_backoff_base: int = 32
-    #: Device-completion watchdog timeout, as a multiple of the device
-    #: latency (catches hangs and lost completion interrupts).
-    device_timeout_factor: int = 8
     #: Injected-fault count at which a page frame is retired from
     #: service when next freed (graceful degradation).
     frame_retire_threshold: int = 3
@@ -233,12 +221,6 @@ class SystemConfig:
             raise ValueError("need at least one virtual processor per CPU")
         if self.quantum <= 0:
             raise ValueError("quantum must be positive")
-        if self.max_io_retries < 0:
-            raise ValueError("max_io_retries cannot be negative")
-        if self.retry_backoff_base <= 0:
-            raise ValueError("retry_backoff_base must be positive")
-        if self.device_timeout_factor <= 1:
-            raise ValueError("device_timeout_factor must exceed 1")
         if self.frame_retire_threshold <= 0:
             raise ValueError("frame_retire_threshold must be positive")
         if self.am_entries <= 0:

@@ -120,9 +120,6 @@ class FaultPlan:
             self._streams[key] = stream
         return stream
 
-    def ops_seen(self, site: str) -> int:
-        return self._ops.get(site, 0)
-
     def describe(self) -> str:
         rules = ", ".join(
             f"{s.site}:{s.kind}"

@@ -1,7 +1,8 @@
 """Bounded retry with backoff in simulated time.
 
-One policy object shared by every recovery site (kernel word reads,
-page transfers, device completions).  Backoff is measured in cycles of
+One policy governs every recovery site (kernel word reads, page
+transfers, device completions): :class:`RetryPolicy`, whose defaults
+are the only place its numbers live.  Backoff is measured in cycles of
 the simulated clock: synchronous paths *charge* the cycles, DES paths
 *wait* them out via the simulator — there is no wall-clock sleeping
 anywhere in the fault plane.
@@ -15,7 +16,6 @@ from typing import TYPE_CHECKING, Callable, TypeVar
 from repro.errors import DeviceError, TransientFault
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.config import SystemConfig
     from repro.faults.injector import FaultInjector
 
 T = TypeVar("T")
@@ -25,15 +25,11 @@ T = TypeVar("T")
 class RetryPolicy:
     """How hard the kernel tries before giving up on an I/O path."""
 
+    #: Retries before a transient fault becomes :class:`DeviceError`.
     max_retries: int = 3
+    #: Backoff, in simulated cycles, before the first retry; it doubles
+    #: per attempt.
     backoff_base: int = 32
-
-    @classmethod
-    def from_config(cls, config: "SystemConfig") -> "RetryPolicy":
-        return cls(
-            max_retries=config.max_io_retries,
-            backoff_base=config.retry_backoff_base,
-        )
 
     def backoff(self, attempt: int) -> int:
         """Cycles to back off before retry number ``attempt`` (1-based)."""

@@ -23,10 +23,11 @@ caches.  Two mechanisms enforce it:
    revoke_branch_access``), page eviction and placement
    (:mod:`repro.vm.page_control`), and address-space teardown.  An SDW
    change reaches the process's AM and the AM of every CPU connected
-   to its descriptor segment.  Cross-process events (a page leaving core affects every process
-   sharing the segment) broadcast through :func:`cam_uid` /
-   :func:`cam_all` to every live AM, exactly as the 6180's connect
-   mechanism fired ``cam`` on every CPU.
+   to its descriptor segment.  Cross-process events (a page leaving
+   core affects every process sharing the segment) go out through the
+   system's :class:`CamBroadcast` to every AM of that system caching
+   the object, exactly as the 6180's connect mechanism fired ``cam``
+   on every CPU — and never to another system's AMs.
 
 2. **Witness checks on hit** (:meth:`AssociativeMemory.probe`).  A hit
    is honoured only if the cached PTW is still in core in the cached
@@ -57,21 +58,8 @@ FETCH_PAGENO = -1
 #: module so it can never collide with a real Intent.
 _FETCH = object()
 
-#: Every live AM, for the cam broadcast (WeakSet: an AM dies with its
-#: descriptor segment and drops out of the broadcast automatically).
-_LIVE: "weakref.WeakSet[AssociativeMemory]" = weakref.WeakSet()
-
 #: Marks "no entry" in ``dict.pop`` (fetch-legality entries hold None).
 _ABSENT = object()
-
-#: uid -> the AMs currently caching at least one entry for that object.
-#: ``cam_uid`` visits only these instead of every live AM: with a 10k-user
-#: population there are 10k+ live AMs but each segment is cached by a
-#: handful, and page control fires ``cam_uid`` on *every* page movement.
-#: AMs without the uid contributed nothing to the broadcast anyway
-#: (``invalidate_uid`` returns 0 before touching any counter), so the
-#: restricted walk is observationally identical.
-_BY_UID: dict[int, "weakref.WeakSet[AssociativeMemory]"] = {}
 
 
 def fetch_key(segno: int, ring: int) -> tuple:
@@ -131,8 +119,7 @@ class AssociativeMemory:
 
     Slotted: a 10k-user population carries one AM per process, and the
     CPU touches the entry table on every reference.  ``__weakref__``
-    stays declared so the ``_LIVE`` cam-broadcast WeakSet keeps
-    working.
+    stays declared so a :class:`CamBroadcast` can hold the AM weakly.
 
     Every change to ``hits``, ``misses``, ``invalidations``, ``cams``
     or the entry count is mirrored into :attr:`totals` when the AM is
@@ -142,7 +129,8 @@ class AssociativeMemory:
 
     __slots__ = ("capacity", "_entries", "_by_segno", "_by_uid",
                  "_key_uid", "hits", "misses", "invalidations", "cams",
-                 "capacity_evictions", "totals", "__weakref__")
+                 "capacity_evictions", "totals", "broadcast",
+                 "__weakref__")
 
     def __init__(self, capacity: int = DEFAULT_ENTRIES) -> None:
         self.capacity = capacity
@@ -161,7 +149,8 @@ class AssociativeMemory:
         self.capacity_evictions = 0
         #: The :class:`AmTotals` this AM feeds, if any.
         self.totals: AmTotals | None = None
-        _LIVE.add(self)
+        #: The :class:`CamBroadcast` this AM listens to, if any.
+        self.broadcast: CamBroadcast | None = None
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -238,10 +227,8 @@ class AssociativeMemory:
             keys = self._by_uid.get(uid)
             if keys is None:
                 self._by_uid[uid] = {key}
-                index = _BY_UID.get(uid)
-                if index is None:
-                    index = _BY_UID[uid] = weakref.WeakSet()
-                index.add(self)
+                if self.broadcast is not None:
+                    self.broadcast.add(uid, self)
             else:
                 keys.add(key)
             self._key_uid[key] = uid
@@ -265,15 +252,8 @@ class AssociativeMemory:
                 ukeys.discard(key)
                 if not ukeys:
                     del self._by_uid[uid]
-                    self._unindex(uid)
-
-    def _unindex(self, uid: int) -> None:
-        """Leave the global uid index once nothing is cached for it."""
-        index = _BY_UID.get(uid)
-        if index is not None:
-            index.discard(self)
-            if not index:
-                del _BY_UID[uid]
+                    if self.broadcast is not None:
+                        self.broadcast.discard(uid, self)
 
     def invalidate_segno(self, segno: int) -> int:
         """Clear every entry for one segment number (SDW add/remove)."""
@@ -314,8 +294,9 @@ class AssociativeMemory:
         dropped = len(self._entries)
         self._entries.clear()
         self._by_segno.clear()
-        for uid in list(self._by_uid):
-            self._unindex(uid)
+        if self.broadcast is not None:
+            for uid in self._by_uid:
+                self.broadcast.discard(uid, self)
         self._by_uid.clear()
         self._key_uid.clear()
         self.cams += 1
@@ -331,25 +312,60 @@ class AssociativeMemory:
 # the cam broadcast (the 6180 "connect": fire cam on every CPU)
 # ---------------------------------------------------------------------------
 
-def cam_uid(uid: int | None, pageno: int | None = None) -> int:
-    """Invalidate one object's cached translations in *every* live AM.
+class CamBroadcast:
+    """One system's cam broadcast: uid -> the AMs caching that object.
 
     Page-control events are expressed in UIDs (a page of segment
     ``uid`` left or entered core) while AM entries are per-process
-    segment numbers; the per-AM uid index bridges the two.  Only AMs
-    that actually cache the uid are visited (the ``_BY_UID`` index), so
-    the broadcast costs O(sharers), not O(live AMs).
+    segment numbers; each AM's own uid index bridges the two.  Page
+    control owns one broadcast, and every AM of its system joins it:
+    a tracked process's AM and each CPU's private AM.  One system's
+    page moves therefore never cam another system's AMs.
+
+    :meth:`cam_uid` visits only the AMs caching the uid, so it costs
+    O(sharers), not O(AMs): a 10k-user population has 10k+ AMs but
+    each segment is cached by a handful, and page control broadcasts
+    on *every* page movement.  AMs without the uid would drop nothing
+    (``invalidate_uid`` returns 0 before touching any counter), so the
+    restricted walk is observationally identical to visiting them all.
     """
-    if uid is None:
-        return 0
-    index = _BY_UID.get(uid)
-    if not index:
+
+    __slots__ = ("_by_uid",)
+
+    def __init__(self) -> None:
+        #: uid -> the joined AMs caching at least one entry for it
+        #: (WeakSets: an AM dies with its descriptor segment or CPU and
+        #: drops out of the broadcast by itself).
+        self._by_uid: dict[int, weakref.WeakSet[AssociativeMemory]] = {}
+
+    def join(self, am: AssociativeMemory) -> None:
+        """Make ``am`` listen to this broadcast, for the objects it
+        already caches too."""
+        am.broadcast = self
+        for uid in am._by_uid:
+            self.add(uid, am)
+
+    def add(self, uid: int, am: AssociativeMemory) -> None:
+        index = self._by_uid.get(uid)
+        if index is None:
+            index = self._by_uid[uid] = weakref.WeakSet()
+        index.add(am)
+
+    def discard(self, uid: int, am: AssociativeMemory) -> None:
+        index = self._by_uid.get(uid)
         if index is not None:
-            del _BY_UID[uid]  # every registered AM died; drop the husk
-        return 0
-    return sum(am.invalidate_uid(uid, pageno) for am in list(index))
+            index.discard(am)
+            if not index:
+                del self._by_uid[uid]
 
-
-def cam_all() -> int:
-    """Fire ``cam`` on every live AM (drastic, rarely needed)."""
-    return sum(am.cam() for am in list(_LIVE))
+    def cam_uid(self, uid: int | None, pageno: int | None = None) -> int:
+        """Invalidate one object's cached translations (one page's,
+        given ``pageno``) in every joined AM caching it."""
+        if uid is None:
+            return 0
+        index = self._by_uid.get(uid)
+        if not index:
+            if index is not None:
+                del self._by_uid[uid]  # every joined AM died; drop the husk
+            return 0
+        return sum(am.invalidate_uid(uid, pageno) for am in list(index))

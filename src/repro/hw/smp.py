@@ -21,9 +21,8 @@ every run **bit-for-bit reproducible**:
   cleared by a full cam whenever the CPU is connected to a different
   descriptor segment, cammed selectively when an SDW of the connected
   descriptor segment changes (a revocation, a terminate), and
-  listening — like every live AM — to the system-wide
-  ``cam_uid``/``cam_all`` broadcasts page control issues when a frame
-  moves.
+  listening — like every process AM of the same system — to the
+  ``cam_uid`` broadcast its page control issues when a frame moves.
 
 * **Lock discipline.**  Dispatch happens under the global
   traffic-control lock; a missing-page fault is serviced by page
@@ -158,10 +157,10 @@ class SmpComplex:
             raise ValueError("need at least one CPU")
         self.cpus: list[CPU] = []
         for i in range(self.n_cpus):
-            private_am = (
-                AssociativeMemory(capacity=config.am_entries)
-                if config.am_enabled else None
-            )
+            private_am = None
+            if config.am_enabled:
+                private_am = AssociativeMemory(capacity=config.am_entries)
+                page_control.am_broadcast.join(private_am)
             self.cpus.append(CPU(
                 core=core,
                 costs=config.costs,

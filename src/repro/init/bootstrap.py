@@ -153,6 +153,3 @@ class BootstrapInitializer:
             if step.privileged:
                 self.privileged_steps_run += 1
             self.completed.append(step.name)
-
-    def privileged_step_count(self) -> int:
-        return sum(1 for s in self.steps if s.privileged)

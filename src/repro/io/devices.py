@@ -13,22 +13,28 @@ from collections import deque
 from typing import TYPE_CHECKING
 
 from repro.errors import DeviceError, InvalidArgument
+from repro.faults.recovery import RetryPolicy
 from repro.hw.clock import Simulator
 from repro.hw.interrupts import InterruptController
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.faults.injector import FaultInjector
 
+#: The completion watchdog fires this many device latencies after a
+#: transfer starts (catches hangs and lost completion interrupts).
+WATCHDOG_FACTOR = 8
+
 
 class Device:
     """Base device: attach discipline + completion interrupts.
 
     Completions travel as *tokens* through a small recovery machine:
-    a transfer error reschedules the completion with doubling backoff
-    (bounded by ``max_retries``, after which the device is taken out of
-    service and waiters see a ``device_error`` payload instead of a
-    hang); a hang or lost completion interrupt is caught by a watchdog
-    armed at ``latency * timeout_factor`` that redelivers the token.
+    a transfer error reschedules the completion with the ``policy``'s
+    doubling backoff (bounded by its ``max_retries``, after which the
+    device is taken out of service and waiters see a ``device_error``
+    payload instead of a hang); a hang or lost completion interrupt is
+    caught by a watchdog armed at ``latency * WATCHDOG_FACTOR`` that
+    redelivers the token.
     All timing is simulated-clock cycles — nothing sleeps.
     """
 
@@ -42,9 +48,7 @@ class Device:
         line: int,
         latency: int = 50,
         injector: "FaultInjector | None" = None,
-        max_retries: int = 3,
-        backoff_base: int = 32,
-        timeout_factor: int = 8,
+        policy: RetryPolicy = RetryPolicy(),
     ) -> None:
         self.name = name
         self.sim = sim
@@ -52,9 +56,7 @@ class Device:
         self.line = line
         self.latency = latency
         self.injector = injector
-        self.max_retries = max_retries
-        self.backoff_base = backoff_base
-        self.timeout_factor = timeout_factor
+        self.policy = policy
         self.attached_by: int | None = None  # pid
         self.operations = 0
         #: Permanently failed; attach refuses, completions stop.
@@ -132,7 +134,7 @@ class Device:
             # The transfer stalls (hang) or finishes silently (lost
             # completion interrupt); only the watchdog saves the waiter.
             self.failures += 1
-            timeout = self.latency * self.timeout_factor
+            timeout = self.latency * WATCHDOG_FACTOR
             self.sim.schedule(timeout, lambda: self._watchdog(token, kind))
         else:  # an unknown kind is a plan bug; fail loudly
             raise DeviceError(f"{self.name}: unknown fault kind {kind!r}")
@@ -141,10 +143,10 @@ class Device:
         self.failures += 1
         token["attempt"] += 1
         attempt = token["attempt"]
-        if attempt > self.max_retries:
+        if attempt > self.policy.max_retries:
             if self.injector is not None:
                 self.injector.note_fatal(
-                    self.site, f"{self.max_retries} retries exhausted"
+                    self.site, f"{self.policy.max_retries} retries exhausted"
                 )
                 self.injector.note_degraded(
                     self.site, "device taken out of service"
@@ -154,7 +156,7 @@ class Device:
             token["payload"] = ("device_error", self.name)
             self.sim.schedule(self.latency, lambda: self._deliver(token))
             return
-        backoff = self.backoff_base << (attempt - 1)
+        backoff = self.policy.backoff(attempt)
         if self.injector is not None:
             self.injector.note_recovered(
                 self.site, f"retry {attempt}", ticks=backoff
@@ -170,7 +172,7 @@ class Device:
             self.injector.note_recovered(
                 self.site,
                 f"watchdog_redeliver:{kind}",
-                ticks=self.latency * (self.timeout_factor - 1),
+                ticks=self.latency * (WATCHDOG_FACTOR - 1),
             )
         self.recoveries += 1
         self._deliver(token)

@@ -186,9 +186,6 @@ class TrafficPattern:
         self._state = (self._state * 1103515245 + 12345) % (2**31)
         return self._state
 
-    def total_messages(self) -> int:
-        return self.burst_size * self.n_bursts
-
     def schedule_into(self, net: NetworkAttachment) -> None:
         """Schedule every arrival into the simulator."""
         for burst in range(self.n_bursts):
@@ -199,9 +196,3 @@ class TrafficPattern:
                     net.sim.clock.now + base,
                     lambda b=body: net.deliver("remote-host", b),
                 )
-
-    @staticmethod
-    def drain_rate_for_loss_free(burst_size: int, capacity: int) -> bool:
-        """Whether a circular buffer of ``capacity`` can absorb a burst
-        of ``burst_size`` with no consumption in between."""
-        return burst_size <= capacity

@@ -18,7 +18,6 @@ from repro.config import SupervisorKind, SystemConfig
 from repro.errors import MissingPageFault, NoSuchEntry
 from repro.faults.injector import FaultInjector
 from repro.faults.recovery import RetryPolicy, retry_call
-from repro.fs.acl import Acl
 from repro.fs.directory import Branch, DirectoryTree
 from repro.fs.kst import KnownSegmentTable
 from repro.fs.uid_layer import UidFileSystem
@@ -39,6 +38,10 @@ from repro.vm.segment_control import ActiveSegmentTable
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.proc.process import Process
+
+#: Capacity, in messages, of the circular network buffer (the old
+#: design, ``BufferKind.CIRCULAR``).
+NET_BUFFER_CAPACITY = 8
 
 
 @dataclass
@@ -113,7 +116,7 @@ class KernelServices:
             if config.fault_plan is not None
             else None
         )
-        self.retry_policy = RetryPolicy.from_config(config)
+        self.retry_policy = RetryPolicy()
         self.hierarchy = MemoryHierarchy(config, injector=self.injector,
                                          metrics=self.metrics)
         self.ast = ActiveSegmentTable(self.hierarchy, lock=self.locks.ast)
@@ -238,12 +241,7 @@ class KernelServices:
         from repro.io.network import NetworkAttachment
 
         sim, ic = self.sim, self.interrupts
-        recovery = dict(
-            injector=self.injector,
-            max_retries=self.config.max_io_retries,
-            backoff_base=self.config.retry_backoff_base,
-            timeout_factor=self.config.device_timeout_factor,
-        )
+        recovery = dict(injector=self.injector, policy=self.retry_policy)
         self.devices = {
             "tty1": Terminal("tty1", sim, ic, line=1, **recovery),
             "tape1": TapeDrive("tape1", sim, ic, line=2, **recovery),
@@ -252,7 +250,7 @@ class KernelServices:
             "prt1": LinePrinter("prt1", sim, ic, line=5, **recovery),
         }
         if self.config.buffers is BufferKind.CIRCULAR:
-            buffer = CircularBuffer(self.config.net_buffer_capacity)
+            buffer = CircularBuffer(NET_BUFFER_CAPACITY)
         else:
             buffer = InfiniteVMBuffer(
                 messages_per_page=max(self.config.page_size // 4, 1)
@@ -304,11 +302,13 @@ class KernelServices:
         return state
 
     def _track(self, process: "Process") -> None:
-        """Register a process for SDW revocation and am.* aggregation."""
+        """Register a process for SDW revocation, am.* aggregation and
+        page control's cam broadcast."""
         if process.pid not in self._procs:
             self._procs[process.pid] = process
             process.dseg.am.capacity = self.config.am_entries
             self.am_totals.bind(process.dseg.am)
+            self.page_control.am_broadcast.join(process.dseg.am)
             self.meters.track(process)
 
     def drop_pstate(self, process: "Process") -> None:
@@ -456,8 +456,3 @@ class KernelServices:
 def build_services(config: SystemConfig | None = None) -> KernelServices:
     """Construct the substrate for a fresh system."""
     return KernelServices(config or SystemConfig())
-
-
-def default_acl(author: str = "*") -> Acl:
-    """The conventional initial ACL on a new branch."""
-    return Acl.make((f"{author}.*.*", "rew") if author != "*" else ("*.*.*", "rew"))

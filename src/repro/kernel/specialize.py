@@ -1,5 +1,5 @@
-"""Specialized per-workload kernels (ROADMAP item 2, the MultiK/KASR
-direction).
+"""Specialized per-workload kernels (the KASR direction: one kernel cut
+down to the surface a workload was observed to use).
 
 The paper's core move is shrinking the protected mechanism.  This
 module pushes it one step further with automation: instead of a human
@@ -39,7 +39,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 def full_kernel_gates() -> list[Gate]:
     """The security kernel's complete gate inventory (the specialization
-    baseline: what a tenant would get without a profile)."""
+    baseline: what a workload would get without a profile)."""
     return fs_gates() + proc_gates() + network_gates()
 
 
@@ -68,16 +68,6 @@ class GateProfile:
 
     def __contains__(self, gate_name: str) -> bool:
         return gate_name in self.gates
-
-    def merge(self, other: "GateProfile", name: str | None = None) -> "GateProfile":
-        """Union of two profiles (a tenant class serving both workloads)."""
-        return GateProfile(
-            name=name or f"{self.name}+{other.name}",
-            gates=self.gates | other.gates,
-            fault_paths=self.fault_paths | other.fault_paths,
-            services=self.services | other.services,
-            trained_calls=self.trained_calls + other.trained_calls,
-        )
 
     def to_dict(self) -> dict:
         return {
@@ -261,10 +251,6 @@ class SpecializedGateTable(GateTable):
         return specialize_deny_stub
 
     # -- surface census -------------------------------------------------------
-
-    def live_gates(self) -> list[Gate]:
-        return [g for g in self._gates.values()
-                if g.name not in self.stub_names]
 
     def live_gate_count(self) -> int:
         return len(self._gates) - len(self.stub_names)

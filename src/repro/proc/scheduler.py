@@ -369,19 +369,11 @@ class TrafficController:
             self._ready_user.append(process)
         self._free_processor(processor)
 
-    # -- resumed process re-entry ----------------------------------------------
-
-    def _resume(self, process: Process) -> None:  # pragma: no cover - unused hook
-        self._make_ready(process)
-
     # -- convenience -------------------------------------------------------------
 
     def run(self, until: int | None = None, max_events: int = 10_000_000) -> None:
         """Drive the simulation (delegates to the event engine)."""
         self.sim.run(until=until, max_events=max_events)
-
-    def idle_processors(self) -> int:
-        return sum(1 for p in self.processors if p.idle)
 
     @property
     def runnable(self) -> int:

@@ -110,10 +110,6 @@ class VirtualProcessorTable:
         process.vp = None
 
     @property
-    def pooled_free(self) -> int:
-        return sum(1 for vp in self._vps if vp.is_free)
-
-    @property
     def pooled_total(self) -> int:
         return sum(1 for vp in self._vps if not vp.is_dedicated)
 

@@ -54,9 +54,6 @@ class ReferenceNameManager:
     def maybe(self, refname: str) -> int | None:
         return self._names.get(refname)
 
-    def names_of(self, segno: int) -> list[str]:
-        return sorted(n for n, s in self._names.items() if s == segno)
-
     def all(self) -> list[tuple[str, int]]:
         return sorted(self._names.items())
 

@@ -71,9 +71,6 @@ class UserSearchRules:
 
     # -- search rules ---------------------------------------------------------------
 
-    def set_rules(self, paths: list[str]) -> None:
-        self.rules = [self.resolve_dir(p) for p in paths]
-
     def search(self, name: str) -> tuple[int, int]:
         """Find ``name`` along working dir + rules.
 

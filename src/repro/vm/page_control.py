@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from repro.config import PageControlKind, SystemConfig
 from repro.errors import DeviceError
 from repro.faults.recovery import RetryPolicy, retry_call
-from repro.hw.assoc import cam_uid
+from repro.hw.assoc import CamBroadcast
 from repro.hw.clock import Simulator
 from repro.hw.memory import MemoryHierarchy, OutOfFrames
 from repro.hw.segmentation import PTW
@@ -114,10 +114,12 @@ class PageControl:
             OrderedDict()
         )
         self._io_seq = itertools.count()
-        # Fault plane: injector rides on the hierarchy; retry budget
-        # comes from the config.
+        #: This system's cam broadcast: page moves invalidate the
+        #: translations cached by the AMs joined to it, and no others.
+        self.am_broadcast = CamBroadcast()
+        # Fault plane: the injector rides on the hierarchy.
         self.injector = getattr(hierarchy, "injector", None)
-        self.retry_policy = RetryPolicy.from_config(config)
+        self.retry_policy = RetryPolicy()
         # Metrics.
         self.faults_serviced = 0
         #: Total cycles processes spent waiting on faults (the metering
@@ -184,7 +186,7 @@ class PageControl:
         ptw.place(dst_frame)
         # The page may land in a different frame than any cached
         # translation remembers: cam it everywhere before anyone hits.
-        cam_uid(aseg.uid, pageno)
+        self.am_broadcast.cam_uid(aseg.uid, pageno)
         if home.level == "bulk":
             self._bulk_pages.pop((aseg.uid, pageno), None)
         self.resident[(aseg.uid, pageno)] = ResidentPage(
@@ -206,7 +208,7 @@ class PageControl:
         ptw.evict()
         # Broadcast cam: every process sharing this segment must stop
         # honouring its cached translation before the frame is reused.
-        cam_uid(rp.aseg.uid, rp.pageno)
+        self.am_broadcast.cam_uid(rp.aseg.uid, rp.pageno)
         rp.aseg.homes[rp.pageno] = PageHome("bulk", bulk_frame)
         key = (rp.aseg.uid, rp.pageno)
         self._bulk_pages[key] = rp.aseg
@@ -271,7 +273,7 @@ class PageControl:
             self.hierarchy.disk.write_page(disk_frame, data)
             self.hierarchy.core.free(ptw.frame)
             ptw.evict()
-            cam_uid(aseg.uid, pageno)
+            self.am_broadcast.cam_uid(aseg.uid, pageno)
             aseg.homes[pageno] = PageHome("disk", disk_frame)
             self.resident.pop((aseg.uid, pageno), None)
             written += 1
@@ -289,7 +291,7 @@ class PageControl:
             self.resident.pop((aseg.uid, pageno), None)
         # Segment deletion invalidates everything cached for it,
         # including fetch-legality entries.
-        cam_uid(aseg.uid)
+        self.am_broadcast.cam_uid(aseg.uid)
         for pageno in range(aseg.n_pages):
             self._bulk_pages.pop((aseg.uid, pageno), None)
 
@@ -526,6 +528,10 @@ class SequentialPageControl(PageControl):
         self._record_fault(process, started, finished, steps)
 
 
+#: Low-water mark of free bulk-store frames kept by the bulk freer.
+FREE_BULK_TARGET = 8
+
+
 class ParallelPageControl(PageControl):
     """The new design: dedicated freer processes keep space available."""
 
@@ -579,10 +585,10 @@ class ParallelPageControl(PageControl):
             yield Wakeup(self.core_freed)
 
     def _bulk_freer_body(self, proc: Process):
-        """Keep at least ``free_bulk_target`` bulk frames free."""
-        target = self.config.free_bulk_target
+        """Keep at least :data:`FREE_BULK_TARGET` bulk frames free."""
         while True:
-            if self.hierarchy.bulk.free_count >= target or not self._bulk_pages:
+            if (self.hierarchy.bulk.free_count >= FREE_BULK_TARGET
+                    or not self._bulk_pages):
                 yield Block(self.bulk_needed)
                 continue
             try:

@@ -18,7 +18,7 @@ from repro.errors import (
     MissingPageFault,
     SegmentFault,
 )
-from repro.hw.assoc import AssociativeMemory, cam_uid
+from repro.hw.assoc import AssociativeMemory, CamBroadcast
 from repro.hw.cpu import Instruction as I, Op
 from repro.hw.rings import user_brackets
 from repro.hw.segmentation import (
@@ -31,6 +31,7 @@ from repro.hw.segmentation import (
 )
 from repro.proc.process import Process
 from repro.user.object_format import ObjectSegment
+from repro.workloads import WorkloadDriver, generate_population
 
 PAGE = 16
 
@@ -150,14 +151,21 @@ class TestAssociativeMemoryUnit:
         assert am.probe(5, 0, 4, Intent.READ, 0) is None
 
     def test_cam_uid_broadcasts_to_all_live_ams(self):
+        broadcast = CamBroadcast()
         a = make_dseg(uid=99, segno=5)
         b = make_dseg(uid=99, segno=8)
+        outsider = make_dseg(uid=99, segno=9)
+        broadcast.join(a.am)
         translate(a, 5, 0, 4, Intent.READ, PAGE, am=a.am)
         translate(b, 8, 0, 4, Intent.READ, PAGE, am=b.am)
-        assert cam_uid(99, pageno=0) >= 2
+        translate(outsider, 9, 0, 4, Intent.READ, PAGE, am=outsider.am)
+        broadcast.join(b.am)  # joins with what it already caches
+        assert broadcast.cam_uid(99, pageno=0) == 2
         assert a.am.probe(5, 0, 4, Intent.READ, 0) is None
         assert b.am.probe(8, 0, 4, Intent.READ, 0) is None
-        assert cam_uid(None) == 0
+        # An AM that never joined hears nothing.
+        assert outsider.am.probe(9, 0, 4, Intent.READ, 0) is not None
+        assert broadcast.cam_uid(None) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +286,25 @@ class TestInvalidationInvariants:
         assert len(am) == 0 and am.cams >= 1
         assert after["am.hits"] >= before["am.hits"]
         assert after["am.cams"] >= 1
+
+
+class TestOneBroadcastPerSystem:
+    def test_page_moves_never_cam_another_systems_ams(self):
+        """Two systems hand out the same uids; page moves in one must
+        leave every counter of the other, idle one, unchanged."""
+        def run(n_users):
+            system = MulticsSystem(kernel_config(
+                core_frames=64, bulk_frames=128, disk_frames=4096,
+                page_size=16,
+            )).boot()
+            WorkloadDriver(system).run(generate_population(n_users, seed=7))
+            return system
+
+        idle = run(10)
+        before = idle.metrics.to_json()
+        busy = run(30)
+        assert busy.metrics.snapshot()["counters"]["pc.core_evictions"] > 0
+        assert idle.metrics.to_json() == before
 
 
 class TestArchitecturalEquivalence:

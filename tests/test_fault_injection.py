@@ -30,7 +30,7 @@ from repro.hw.clock import Simulator
 from repro.hw.interrupts import InterruptController
 from repro.hw.memory import MemoryHierarchy
 from repro.io.buffers import CircularBuffer
-from repro.io.devices import Terminal
+from repro.io.devices import WATCHDOG_FACTOR, Terminal
 from repro.io.network import NetworkAttachment
 from repro.system import MulticsSystem
 
@@ -223,7 +223,7 @@ class TestDeviceRecovery:
 
     def test_exhausted_retries_degrade_device(self):
         p = plan(FaultSpec("device.tty1", "transfer_error", rate=1.0))
-        sim, ic, tty = self._terminal(p, max_retries=2)
+        sim, ic, tty = self._terminal(p, policy=RetryPolicy(max_retries=2))
         tty.attach(1)
         tty.write_line(1, "hello")
         sim.run()
@@ -243,7 +243,7 @@ class TestDeviceRecovery:
         sim.run()
         assert ic.raised == 1
         assert tty.recoveries == 1
-        assert sim.clock.now >= tty.latency * tty.timeout_factor
+        assert sim.clock.now >= tty.latency * WATCHDOG_FACTOR
 
     def test_detach_cancels_pending_completions(self):
         sim, ic, tty = self._terminal()

@@ -49,12 +49,7 @@ def _sha(text: str) -> str:
 
 
 def system_fingerprint(system, results) -> dict:
-    """What a reproduction would publish about one booted system's run.
-
-    Taken right after the run: cam broadcasts reach every live AM, so a
-    later boot in the same process could still move this system's
-    ``am.*`` counters.
-    """
+    """What a reproduction would publish about one booted system's run."""
     trace = [(r.action, r.object, r.decision)
              for r in system.audit.records()]
     export = system.audit.to_json()

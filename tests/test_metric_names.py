@@ -65,15 +65,11 @@ def registered_names() -> set[str]:
         )
         if config.supervisor is not SupervisorKind.LEGACY:
             WorkloadDriver(system)  # workload.* names register per-driver
-            # specialize.* names register when a specialized kernel and
-            # an orchestrator are built over the substrate.
-            from repro.kernel.orchestrator import KernelOrchestrator
-            from repro.kernel.specialize import GateProfile
+            # specialize.* names register when a specialized kernel is
+            # built over the substrate.
+            from repro.kernel.specialize import GateProfile, specialize
 
-            orchestrator = KernelOrchestrator(system)
-            orchestrator.add_tenant(
-                "lint", GateProfile("lint", gates={"hcs_$get_root"})
-            )
+            specialize(system, GateProfile("lint", gates={"hcs_$get_root"}))
         names.update(system.metrics.names())
     # shard.* names live on the sharded merge layer's own registry, not
     # on any single booted system.

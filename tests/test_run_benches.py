@@ -89,7 +89,6 @@ def _scaled_bench_stubs(rb, monkeypatch, seen):
             "gates_total": 42, "max_gate_reduction": 0.8,
             "pen_successes_total": 0, "pen_attempted_total": 24,
             "all_identical": True, "all_deny_complete": True,
-            "orchestrator_tenants": 4, "orchestrator_cross_denials": 4,
         }, rb._boot_snapshot()
 
     monkeypatch.setattr(rb, "workload_bench_numbers", fake_e18)

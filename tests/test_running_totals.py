@@ -28,7 +28,6 @@ from hypothesis import Phase, given, settings, strategies as st
 from repro import MulticsSystem, kernel_config
 from repro.config import CostModel, RingMode
 from repro.errors import ReproError
-from repro.hw.assoc import cam_uid
 from repro.hw.cpu import CPU, CodeSegment, Instruction as I, Op
 from repro.hw.memory import MemoryLevel
 from repro.hw.rings import user_brackets
@@ -46,8 +45,7 @@ CODE_SEGNO = 1
 LOOSE_SEGNO = 5
 DATA_SEGNO = 9
 SEGNOS = (CODE_SEGNO, LOOSE_SEGNO, DATA_SEGNO)
-#: Object uids, far from any uid a booted file system hands out, so a
-#: ``cam_uid`` broadcast here reaches only this test's AMs.
+#: Object uids the inserted entries name.
 UIDS = (900_001, 900_002, 900_003)
 N_PROCS = 3
 N_FRAMES = 8
@@ -184,7 +182,7 @@ class Rig:
                 ptw.place(frame)
             return
         if name == "cam_uid":
-            cam_uid(*args)
+            services.page_control.am_broadcast.cam_uid(*args)
             return
         process = self.procs[args[0]]
         am = process.dseg.am
@@ -230,11 +228,6 @@ class Rig:
         else:  # pragma: no cover - the strategy is closed
             raise AssertionError(f"unknown op {name}")
 
-    def close(self) -> None:
-        """Clear this rig's AMs so no later broadcast reaches them."""
-        for process in self.procs:
-            process.dseg.am.cam()
-
 
 PROC = st.integers(0, N_PROCS - 1)
 SEGNO = st.sampled_from(SEGNOS)
@@ -279,43 +272,37 @@ class TestOracle:
               phases=(Phase.explicit, Phase.reuse, Phase.generate))
     def test_sources_equal_population_sums(self, ops):
         rig = Rig()
-        try:
-            for step, op in enumerate(ops):
-                rig.apply(op)
-                want = population_sums(rig.services, rig.retired)
-                got = source_values(rig.services)
-                assert got == want, f"after step {step} {op}"
-                assert (rig.services.meters._total
-                        == bucket_sum(rig.services.meters)), (
-                    f"after step {step} {op}")
-        finally:
-            rig.close()
+        for step, op in enumerate(ops):
+            rig.apply(op)
+            want = population_sums(rig.services, rig.retired)
+            got = source_values(rig.services)
+            assert got == want, f"after step {step} {op}"
+            assert (rig.services.meters._total
+                    == bucket_sum(rig.services.meters)), (
+                f"after step {step} {op}")
 
     def test_fixed_sequence_moves_every_source(self):
         """A fixed walk through the mirrored paths leaves every source
         nonzero, so the oracle's equalities are not vacuous."""
         rig = Rig()
-        try:
-            for op in [("track", 0), ("track", 1), ("run", 0, 3, False),
-                       ("insert", 1, DATA_SEGNO, 0, Intent.READ, 0, 16,
-                        UIDS[1]),
-                       ("probe", 1, DATA_SEGNO, 0, Intent.READ, 2),
-                       ("move", 0, 3),
-                       ("probe", 1, DATA_SEGNO, 0, Intent.READ, 2),
-                       ("cam_uid", UIDS[0], None), ("cam", 1),
-                       ("note_gate", 2, GATES[0], 30, True),
-                       ("note_gate_denied", 2, GATES[1]),
-                       ("charge", 2, 40, 9), ("drop", 0), ("drop", 2)]:
-                rig.apply(op)
-                assert (source_values(rig.services)
-                        == population_sums(rig.services, rig.retired))
-            values = source_values(rig.services)
-            assert all(values[name] for name in SOURCES
-                       if name not in ("meter.gate_denials", "am.entries"))
-            assert values["meter.gate_denials"] == 1
-            assert values["am.entries"] == 0  # both tracked AMs cammed
-        finally:
-            rig.close()
+        for op in [("track", 0), ("track", 1), ("run", 0, 3, False),
+                   ("insert", 1, DATA_SEGNO, 0, Intent.READ, 0, 16,
+                    UIDS[1]),
+                   ("probe", 1, DATA_SEGNO, 0, Intent.READ, 2),
+                   ("move", 0, 3),
+                   ("probe", 1, DATA_SEGNO, 0, Intent.READ, 2),
+                   ("cam_uid", UIDS[0], None), ("cam", 1),
+                   ("note_gate", 2, GATES[0], 30, True),
+                   ("note_gate_denied", 2, GATES[1]),
+                   ("charge", 2, 40, 9), ("drop", 0), ("drop", 2)]:
+            rig.apply(op)
+            assert (source_values(rig.services)
+                    == population_sums(rig.services, rig.retired))
+        values = source_values(rig.services)
+        assert all(values[name] for name in SOURCES
+                   if name not in ("meter.gate_denials", "am.entries"))
+        assert values["meter.gate_denials"] == 1
+        assert values["am.entries"] == 0  # both tracked AMs cammed
 
 
 # ---------------------------------------------------------------------------

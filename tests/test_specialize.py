@@ -18,7 +18,6 @@ from repro.errors import (
     ReproError,
     SpecializationDenial,
 )
-from repro.kernel.orchestrator import KernelOrchestrator
 from repro.kernel.specialize import (
     EMPTY_PROFILE,
     GateProfile,
@@ -84,17 +83,6 @@ class TestGateProfile:
         p = GateProfile("p", gates={"a"}, fault_paths={"page_fault"},
                         services={"fs"}, trained_calls=7)
         assert GateProfile.from_dict(p.to_dict()) == p
-
-    def test_merge_unions_everything(self):
-        a = GateProfile("a", gates={"g1"}, services={"fs"}, trained_calls=2)
-        b = GateProfile("b", gates={"g2"}, fault_paths={"interrupt"},
-                        trained_calls=3)
-        m = a.merge(b)
-        assert m.name == "a+b"
-        assert m.gates == {"g1", "g2"}
-        assert m.fault_paths == {"interrupt"}
-        assert m.services == {"fs"}
-        assert m.trained_calls == 5
 
     def test_empty_profile_has_no_gates(self):
         assert not EMPTY_PROFILE.gates
@@ -322,115 +310,3 @@ class TestPenetrationRegression:
     def test_legacy_suite_unchanged_by_parameterization(self, legacy_system):
         report = run_penetration_suite(legacy_system)
         assert report.successes >= 3  # the legacy flaws still reproduce
-
-
-# ---------------------------------------------------------------------------
-# KernelOrchestrator
-# ---------------------------------------------------------------------------
-
-class TestKernelOrchestrator:
-    @pytest.fixture
-    def orchestrated(self, kernel_system):
-        """System + orchestrator with two trained tenant classes."""
-        profiler = KernelProfiler(kernel_system)
-        train(kernel_system)
-        fs_profile = profiler.profile("fs_tenant", remark=True)
-        net_profile = GateProfile(
-            "net_tenant",
-            gates=fs_profile.gates | {"net_$attach", "net_$send",
-                                      "net_$status"},
-            services=fs_profile.services | {"io_network"},
-            trained_calls=fs_profile.trained_calls,
-        )
-        orch = KernelOrchestrator(kernel_system)
-        orch.add_tenant("fs", fs_profile)
-        orch.add_tenant("net", net_profile)
-        return kernel_system, orch
-
-    def test_legacy_substrate_rejected(self, legacy_system):
-        with pytest.raises(ValueError):
-            KernelOrchestrator(legacy_system)
-
-    def test_duplicate_tenant_rejected(self, orchestrated):
-        _, orch = orchestrated
-        with pytest.raises(ValueError):
-            orch.add_tenant("fs", EMPTY_PROFILE)
-
-    def test_unknown_tenant_rejected(self, orchestrated):
-        _, orch = orchestrated
-        with pytest.raises(ValueError):
-            orch.kernel_for("nosuch")
-        with pytest.raises(ValueError):
-            orch.login("nosuch", "Alice", "Crypto", "alice-pw")
-
-    def test_sessions_route_to_their_tenant_kernel(self, orchestrated):
-        system, orch = orchestrated
-        fs_user = orch.login("fs", "Fay", "Load", "fay-pw")
-        net_user = orch.login("net", "Ned", "Load", "ned-pw")
-        assert orch.tenant_of(fs_user.process) == "fs"
-        assert orch.tenant_of(net_user.process) == "net"
-        assert fs_user._sup is orch.kernel_for("fs")
-        # Each tenant's own workload is granted by its own kernel.
-        segno = fs_user.create_segment("fs_data", n_pages=1)
-        fs_user.write_words(segno, [7])
-        net_user.call("net_$attach")
-        net_user.call("net_$send", "remote-host", "hello")
-        assert orch.kernel_for("fs").gates.deny_stub_hits == 0
-        assert orch.kernel_for("net").gates.deny_stub_hits == 0
-
-    def test_cross_tenant_gate_is_denied_and_audited(self, orchestrated):
-        system, orch = orchestrated
-        fs_user = orch.login("fs", "Fay", "Load", "fay-pw")
-        denials_before = system.audit.denials
-        with pytest.raises(SpecializationDenial):
-            orch.call(fs_user.process, "net_$send", "remote-host", "leak")
-        assert orch.kernel_for("fs").gates.deny_stub_hits == 1
-        assert orch.routed_calls == 1
-        assert system.audit.denials == denials_before + 1
-        denied = system.audit.denied()
-        assert denied[-1].object == "net_$send"
-        # The same call through the *full* kernel would have been
-        # granted: shared substrate, per-tenant perimeter.
-        assert "net_$send" in system.supervisor.gates
-
-    def test_unrouted_process_falls_back_to_full_kernel(self, orchestrated):
-        system, orch = orchestrated
-        session = system.login("Alice", "Crypto", "alice-pw")
-        root = orch.call(session.process, "hcs_$get_root")
-        assert root == session.call("hcs_$get_root")
-        assert orch.unrouted_calls == 1
-
-    def test_installed_restores_the_system(self, orchestrated):
-        system, orch = orchestrated
-        before_sup, before_listener = system.supervisor, system.listener
-        with orch.installed("fs") as kernel:
-            assert system.supervisor is kernel
-            assert system.listener is orch.listeners["fs"]
-        assert system.supervisor is before_sup
-        assert system.listener is before_listener
-
-    def test_logout_goes_through_the_tenant_listener(self, orchestrated):
-        system, orch = orchestrated
-        fs_user = orch.login("fs", "Fay", "Load", "fay-pw")
-        assert orch.listeners["fs"].active_count == 1
-        orch.logout(fs_user)
-        assert orch.listeners["fs"].active_count == 0
-        assert orch.tenant_of(fs_user.process) is None
-        with pytest.raises(ValueError):
-            orch.logout(fs_user)
-
-    def test_route_process_binds_existing_processes(self, orchestrated):
-        system, orch = orchestrated
-        session = system.login("Bob", "Crypto", "bob-pw")
-        orch.route_process(session.process, "fs")
-        assert orch.tenant_of(session.process) == "fs"
-        orch.call(session.process, "hcs_$get_root")
-        assert orch.routed_calls == 1
-
-    def test_orchestrator_metrics(self, orchestrated):
-        system, orch = orchestrated
-        snapshot = system.metrics.snapshot()
-        assert snapshot["gauges"]["specialize.tenants"] == 2
-        assert snapshot["gauges"]["specialize.kernels"] == 2
-        assert "specialize.routed_calls" in snapshot["counters"]
-        assert "specialize.unrouted_calls" in snapshot["counters"]

@@ -227,8 +227,6 @@ class TestWorkloadDriver:
         fingerprints = []
         for _ in range(2):
             system, _, report = drive()
-            # Serialize before the next boot: a later system's cam
-            # broadcasts must not touch this snapshot.
             fingerprints.append(
                 (system.clock.now, json.loads(system.metrics.to_json()),
                  report.to_dict()["p50_latency_cycles"])
