@@ -90,7 +90,7 @@ def read_marker(services: "KernelServices") -> int | None:
     if slot is None:
         return None
     level, frame = slot
-    return level.frame(frame).data[0]
+    return level.raw_page(frame)[0]
 
 
 def _write_marker(services: "KernelServices", value: int) -> bool:
@@ -98,7 +98,7 @@ def _write_marker(services: "KernelServices", value: int) -> bool:
     if slot is None:
         return False
     level, frame = slot
-    level.frame(frame).data[0] = value
+    level.raw_page(frame, [value] + level.raw_page(frame)[1:])
     return True
 
 
@@ -233,7 +233,7 @@ class HierarchySalvager:
                 f"core frame {frame}", "raw_copy",
                 "parity persisted through retries; page saved as-is",
             )
-            return list(services.hierarchy.core.frame(frame).data)
+            return services.hierarchy.core.raw_page(frame)
 
     # -- step 2: the tree walk -----------------------------------------
 

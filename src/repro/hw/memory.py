@@ -2,8 +2,9 @@
 
 Multics moved pages among primary (core) memory, the bulk store (a fast
 drum used as a paging device), and disk.  Each :class:`MemoryLevel`
-manages a fixed population of page frames.  Frame *contents* are plain
-Python lists of ints standing in for 1024-word Multics pages.
+manages a fixed population of page frames, whose words sit in one flat
+Python list of ints (frame ``i`` from word ``i * page_size``) standing in
+for 1024-word Multics pages: a level builds no object per frame.
 
 Security note: whether a frame is cleared when freed is configurable.
 Failing to clear frames is the classic "residue" flaw (reading another
@@ -13,7 +14,6 @@ experiments (E11) exploit exactly this when clearing is disabled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.config import SystemConfig
@@ -29,18 +29,6 @@ class OutOfFrames(ReproError):
     Page control is responsible for never letting this surface to users;
     seeing it escape is a bug in a page-control implementation.
     """
-
-
-@dataclass
-class Frame:
-    """One page frame at some memory level."""
-
-    index: int
-    data: list[int] = field(default_factory=list)
-
-    def clear(self, page_size: int) -> None:
-        """Zero the frame (residue elimination)."""
-        self.data = [0] * page_size
 
 
 class MemoryLevel:
@@ -59,6 +47,7 @@ class MemoryLevel:
         if n_frames <= 0:
             raise ValueError("a memory level needs at least one frame")
         self.name = name
+        self.n_frames = n_frames
         self.page_size = page_size
         self.transfer_cost = transfer_cost
         self.clear_on_free = clear_on_free
@@ -66,7 +55,7 @@ class MemoryLevel:
         #: Parity hits at which a frame is retired when next freed
         #: (graceful degradation); None disables retirement.
         self.retire_threshold = retire_threshold
-        self._frames = [Frame(i, [0] * page_size) for i in range(n_frames)]
+        self._words = [0] * (n_frames * page_size)
         self._free: list[int] = list(range(n_frames - 1, -1, -1))
         self._allocated: set[int] = set()
         #: Injected parity hits per frame (drives retirement).
@@ -78,10 +67,6 @@ class MemoryLevel:
         self.frees = 0
 
     # -- capacity --------------------------------------------------------
-
-    @property
-    def n_frames(self) -> int:
-        return len(self._frames)
 
     @property
     def free_count(self) -> int:
@@ -113,7 +98,8 @@ class MemoryLevel:
             raise ValueError(f"{self.name}: frame {idx} is not allocated")
         self._allocated.remove(idx)
         if self.clear_on_free:
-            self._frames[idx].clear(self.page_size)
+            base = idx * self.page_size
+            self._words[base:base + self.page_size] = [0] * self.page_size
         if (
             self.retire_threshold is not None
             and self.fault_counts.get(idx, 0) >= self.retire_threshold
@@ -133,9 +119,6 @@ class MemoryLevel:
 
     # -- data access -----------------------------------------------------
 
-    def frame(self, idx: int) -> Frame:
-        return self._frames[idx]
-
     def _maybe_parity(self, idx: int, offset: int | None = None) -> None:
         if self.injector is None:
             return
@@ -150,27 +133,40 @@ class MemoryLevel:
         """Read one word from an allocated frame."""
         self._check(idx, offset)
         self._maybe_parity(idx, offset)
-        return self._frames[idx].data[offset]
+        return self._words[idx * self.page_size + offset]
 
     def write(self, idx: int, offset: int, value: int) -> None:
         """Write one word into an allocated frame."""
         self._check(idx, offset)
-        self._frames[idx].data[offset] = value
+        self._words[idx * self.page_size + offset] = value
 
     def read_page(self, idx: int) -> list[int]:
         """Copy out the whole frame (used for page transfers)."""
         if idx not in self._allocated:
             raise ValueError(f"{self.name}: frame {idx} is not allocated")
         self._maybe_parity(idx)
-        return list(self._frames[idx].data)
+        return self._words[idx * self.page_size:(idx + 1) * self.page_size]
 
     def write_page(self, idx: int, data: list[int]) -> None:
         """Replace the whole frame contents (used for page transfers)."""
         if idx not in self._allocated:
             raise ValueError(f"{self.name}: frame {idx} is not allocated")
+        # A slice of another length would shift every later frame.
         if len(data) != self.page_size:
             raise ValueError("page data has the wrong length")
-        self._frames[idx].data = list(data)
+        self._words[idx * self.page_size:(idx + 1) * self.page_size] = data
+
+    def raw_page(self, idx: int, data: list[int] | None = None) -> list[int]:
+        """Frame ``idx``'s words, replaced by ``data`` first if given.  No
+        allocation check and no fault injection (no fault-plan count
+        moves): for the salvager's marker and last-resort copy, and tests."""
+        if not 0 <= idx < self.n_frames:
+            raise IndexError(f"{self.name}: no frame {idx}")
+        if data is not None:
+            if len(data) != self.page_size:
+                raise ValueError("page data has the wrong length")
+            self._words[idx * self.page_size:(idx + 1) * self.page_size] = data
+        return self._words[idx * self.page_size:(idx + 1) * self.page_size]
 
     def _check(self, idx: int, offset: int) -> None:
         if idx not in self._allocated:

@@ -1,8 +1,21 @@
 """Tests for the physical memory hierarchy."""
 
+import gc
+
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    rule,
+)
 
 from repro.config import SystemConfig
+from repro.errors import ParityError
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultPlan, FaultSpec
 from repro.hw.memory import MemoryHierarchy, MemoryLevel, OutOfFrames
 
 
@@ -141,3 +154,260 @@ class TestMemoryHierarchy:
         src = hierarchy.core.allocate()
         with pytest.raises(OutOfFrames):
             hierarchy.transfer(hierarchy.core, src, hierarchy.bulk)
+
+
+class PerFrameLevel:
+    """Reference model of a :class:`MemoryLevel`: one list per frame, as
+    the store was before it became one flat list per level.  Same
+    checks, in the same order, against the same fault plan."""
+
+    def __init__(self, name, n_frames, page_size, clear_on_free,
+                 injector, retire_threshold):
+        self.name = name
+        self.n_frames = n_frames
+        self.page_size = page_size
+        self.clear_on_free = clear_on_free
+        self.injector = injector
+        self.retire_threshold = retire_threshold
+        self.frames = [[0] * page_size for _ in range(n_frames)]
+        self.free_list = list(range(n_frames - 1, -1, -1))
+        self.allocated = set()
+        self.fault_counts = {}
+        self.retired = set()
+        self.allocations = 0
+        self.frees = 0
+
+    @property
+    def free_count(self):
+        return len(self.free_list)
+
+    @property
+    def used_count(self):
+        return len(self.allocated)
+
+    def allocate(self):
+        if not self.free_list:
+            raise OutOfFrames(self.name)
+        idx = self.free_list.pop()
+        self.allocated.add(idx)
+        self.allocations += 1
+        return idx
+
+    def free(self, idx):
+        if idx not in self.allocated:
+            raise ValueError(idx)
+        self.allocated.remove(idx)
+        if self.clear_on_free:
+            self.frames[idx] = [0] * self.page_size
+        if (self.retire_threshold is not None
+                and self.fault_counts.get(idx, 0) >= self.retire_threshold):
+            self.retired.add(idx)
+            if self.injector is not None:
+                self.injector.note_degraded(
+                    f"memory.{self.name}.frame.{idx}")
+        else:
+            self.free_list.append(idx)
+        self.frees += 1
+
+    def _maybe_parity(self, idx, offset=None):
+        if self.injector is None:
+            return
+        kind = self.injector.check(f"memory.{self.name}.read")
+        if kind == "parity":
+            self.fault_counts[idx] = self.fault_counts.get(idx, 0) + 1
+            raise ParityError(self.name, idx, offset)
+
+    def _check(self, idx, offset):
+        if idx not in self.allocated:
+            raise ValueError(idx)
+        if not 0 <= offset < self.page_size:
+            raise ValueError(offset)
+
+    def read(self, idx, offset):
+        self._check(idx, offset)
+        self._maybe_parity(idx, offset)
+        return self.frames[idx][offset]
+
+    def write(self, idx, offset, value):
+        self._check(idx, offset)
+        self.frames[idx][offset] = value
+
+    def read_page(self, idx):
+        if idx not in self.allocated:
+            raise ValueError(idx)
+        self._maybe_parity(idx)
+        return list(self.frames[idx])
+
+    def write_page(self, idx, data):
+        if idx not in self.allocated:
+            raise ValueError(idx)
+        if len(data) != self.page_size:
+            raise ValueError(len(data))
+        self.frames[idx] = list(data)
+
+    def raw_page(self, idx, data=None):
+        if not 0 <= idx < self.n_frames:
+            raise IndexError(idx)
+        if data is not None:
+            if len(data) != self.page_size:
+                raise ValueError(len(data))
+            self.frames[idx] = list(data)
+        return list(self.frames[idx])
+
+
+LEVELS = ("core", "bulk", "disk")
+WORDS = st.integers(-(2 ** 70), 2 ** 70)
+
+
+class WordStoreMachine(RuleBasedStateMachine):
+    """The flat word store against :class:`PerFrameLevel`: every
+    operation returns (or raises) the same, and afterwards every
+    counter and every word of every frame agree — so no operation
+    touches a neighbouring frame."""
+
+    @initialize(sizes=st.tuples(*[st.integers(1, 6)] * 3),
+                page_size=st.integers(1, 8), clear=st.booleans(),
+                faults=st.none() | st.tuples(
+                    st.integers(0, 99), st.sampled_from([0.1, 0.3]),
+                    st.integers(1, 3)),
+                filled=st.booleans(), held=st.integers(0, 6))
+    def setup(self, sizes, page_size, clear, faults, filled, held):
+        config = SystemConfig(
+            page_size=page_size, core_frames=sizes[0],
+            bulk_frames=sizes[1], disk_frames=sizes[2],
+            clear_freed_frames=clear,
+        )
+        injectors = [None, None]
+        if faults is not None:
+            seed, rate, config.frame_retire_threshold = faults
+            specs = [FaultSpec("memory.*.read", "parity", rate=rate),
+                     FaultSpec("memory.transfer", "transfer_error",
+                               rate=rate)]
+            injectors = [FaultInjector(FaultPlan(specs, seed=seed))
+                         for _ in range(2)]
+        self.real = MemoryHierarchy(config, injector=injectors[0])
+        self.ref = MemoryHierarchy(config, injector=injectors[1])
+        for name in LEVELS:
+            level = self.real.level(name)
+            setattr(self.ref, name, PerFrameLevel(
+                name, level.n_frames, page_size, clear, injectors[1],
+                level.retire_threshold))
+            if filled:
+                # Distinct words everywhere, so a misplaced clear or copy
+                # shows even when nothing was written there yet.
+                for i in range(level.n_frames):
+                    words = [1000 * i + k + 1 for k in range(page_size)]
+                    self.both(lambda h: h.level(name).raw_page(i, words))
+            # Start with frames in use, so that most operations reach
+            # an allocated frame rather than stopping at the check.
+            for _ in range(min(held, level.n_frames)):
+                self.both(lambda h: h.level(name).allocate())
+
+    def both(self, op):
+        """Apply ``op`` to each side; the outcomes must agree."""
+        outcomes = []
+        for side in (self.real, self.ref):
+            try:
+                outcomes.append(("ok", op(side)))
+            except Exception as exc:
+                outcomes.append(("raised", type(exc)))
+        assert outcomes[0] == outcomes[1]
+
+    def frame_index(self, data, name):
+        """Mostly an allocated frame; otherwise any index in -1..n."""
+        level = self.real.level(name)
+        allocated = [i for i in range(level.n_frames)
+                     if level.is_allocated(i)]
+        anywhere = st.integers(-1, level.n_frames)
+        if allocated:
+            anywhere = st.sampled_from(allocated) | anywhere
+        return data.draw(anywhere, label="idx")
+
+    def page_words(self, data):
+        """Words for a page write: mostly a whole page, else 0..ps+1."""
+        ps = self.real.page_size
+        n = data.draw(st.just(ps) | st.integers(0, ps + 1), label="len")
+        return data.draw(st.lists(WORDS, min_size=n, max_size=n))
+
+    # -- rules ------------------------------------------------------------
+
+    @rule(name=st.sampled_from(LEVELS))
+    def allocate(self, name):
+        self.both(lambda h: h.level(name).allocate())
+
+    @rule(name=st.sampled_from(LEVELS), data=st.data())
+    def free(self, name, data):
+        idx = self.frame_index(data, name)
+        self.both(lambda h: h.level(name).free(idx))
+
+    @rule(name=st.sampled_from(LEVELS), data=st.data())
+    def read(self, name, data):
+        idx = self.frame_index(data, name)
+        offset = data.draw(st.integers(-1, self.real.page_size))
+        self.both(lambda h: h.level(name).read(idx, offset))
+
+    @rule(name=st.sampled_from(LEVELS), data=st.data(), value=WORDS)
+    def write(self, name, data, value):
+        idx = self.frame_index(data, name)
+        offset = data.draw(st.integers(-1, self.real.page_size))
+        self.both(lambda h: h.level(name).write(idx, offset, value))
+
+    @rule(name=st.sampled_from(LEVELS), data=st.data())
+    def read_page(self, name, data):
+        idx = self.frame_index(data, name)
+        self.both(lambda h: h.level(name).read_page(idx))
+
+    @rule(name=st.sampled_from(LEVELS), data=st.data())
+    def write_page(self, name, data):
+        idx = self.frame_index(data, name)
+        words = self.page_words(data)
+        self.both(lambda h: h.level(name).write_page(idx, list(words)))
+
+    @rule(name=st.sampled_from(LEVELS), data=st.data())
+    def raw_page(self, name, data):
+        idx = self.frame_index(data, name)
+        words = self.page_words(data) if data.draw(st.booleans()) else None
+        self.both(lambda h: h.level(name).raw_page(
+            idx, None if words is None else list(words)))
+
+    @rule(src=st.sampled_from(LEVELS), dst=st.sampled_from(LEVELS),
+          data=st.data())
+    def transfer(self, src, dst, data):
+        idx = self.frame_index(data, src)
+        self.both(lambda h: h.transfer(h.level(src), idx, h.level(dst)))
+
+    # -- the comparison -----------------------------------------------------
+
+    @invariant()
+    def same_counters_and_words(self):
+        assert self.real.transfer_counts == self.ref.transfer_counts
+        for name in LEVELS:
+            real, ref = self.real.level(name), self.ref.level(name)
+            assert (real.allocations, real.frees, real.free_count,
+                    real.used_count, real.retired, real.fault_counts) == (
+                ref.allocations, ref.frees, ref.free_count,
+                ref.used_count, ref.retired, ref.fault_counts)
+            assert [real.raw_page(i) for i in range(real.n_frames)] \
+                == ref.frames
+
+
+WordStoreMachine.TestCase.settings = settings(
+    max_examples=80, stateful_step_count=30, derandomize=True,
+    deadline=None,
+)
+TestWordStoreAgainstPerFrameModel = WordStoreMachine.TestCase
+
+
+def test_a_level_builds_no_object_per_frame():
+    """At E18's sizes a hierarchy adds a handful of objects for the
+    collector to track, not two per page frame (229,376 when every frame
+    was an object holding a list)."""
+    config = SystemConfig(page_size=16, core_frames=16384,
+                          bulk_frames=32768, disk_frames=65536)
+    gc.collect()
+    before = len(gc.get_objects())
+    hierarchy = MemoryHierarchy(config)
+    gc.collect()
+    added = len(gc.get_objects()) - before
+    assert hierarchy.disk.n_frames == 65536
+    assert added < 100, added

@@ -62,10 +62,9 @@ class Pager:
         else:
             key, old = self.resident.popleft()
             frame = old.frame
-            self.backing[key] = list(core.frame(frame).data)
+            self.backing[key] = core.raw_page(frame)
             old.evict()
-        core.frame(frame).data = list(
-            self.backing.get((segno, pageno), [0] * PAGE))
+        core.write_page(frame, self.backing.get((segno, pageno), [0] * PAGE))
         ptw.place(frame)
         self.resident.append(((segno, pageno), ptw))
         self.cpu.stall(7)
@@ -103,7 +102,7 @@ def profile_world(name: str, private_am: bool = False,
     )
     pager.cpu = cpu
     frame = cpu.core.allocate()
-    cpu.core.frame(frame).data = [(7 * k) % 31 + 1 for k in range(PAGE)]
+    cpu.core.write_page(frame, [(7 * k) % 31 + 1 for k in range(PAGE)])
     ptws[0].place(frame)
     pager.resident.append(((2, 0), ptws[0]))
     return cpu, ctx
@@ -118,8 +117,7 @@ def fingerprint(cpu: CPU, ctx) -> dict:
                 cpu.calls_cross_ring),
         "am": (am.hits, am.misses, am.invalidations, am.cams,
                am.capacity_evictions, len(am)),
-        "core": [list(cpu.core.frame(i).data)
-                 for i in range(cpu.core.n_frames)],
+        "core": [cpu.core.raw_page(i) for i in range(cpu.core.n_frames)],
         "ptws": ptw_bits(ctx),
     }
 
