@@ -31,7 +31,15 @@ from repro.hw.rings import RingBrackets
 
 
 class AccessMode(enum.Flag):
-    """Permission bits recorded in an SDW (and in ACL entries)."""
+    """Permission bits recorded in an SDW (and in ACL entries).
+
+    The bit operations, truth value and :meth:`to_string` index tables
+    of the eight values (``_MODES``, ``_MODE_STRINGS``) instead of
+    running ``enum.Flag``'s Python-level methods: every reference
+    monitor decision and every hardware access check combines modes.
+    The tables hold the stdlib's own ``AccessMode(v)``, so identity,
+    ``repr`` and pickling are ``Flag``'s.
+    """
 
     NONE = 0
     R = enum.auto()
@@ -40,6 +48,31 @@ class AccessMode(enum.Flag):
     RW = R | W
     RE = R | E
     REW = R | E | W
+
+    def __and__(self, other):
+        if other.__class__ is not AccessMode:
+            return NotImplemented
+        return _MODES[self._value_ & other._value_]
+
+    def __or__(self, other):
+        if other.__class__ is not AccessMode:
+            return NotImplemented
+        return _MODES[self._value_ | other._value_]
+
+    def __xor__(self, other):
+        if other.__class__ is not AccessMode:
+            return NotImplemented
+        return _MODES[self._value_ ^ other._value_]
+
+    __rand__ = __and__
+    __ror__ = __or__
+    __rxor__ = __xor__
+
+    def __invert__(self):
+        return _MODES[self._value_ ^ 0b111]  # the bits this mode lacks
+
+    def __bool__(self):
+        return self._value_ != 0
 
     @classmethod
     def from_string(cls, text: str) -> "AccessMode":
@@ -59,22 +92,34 @@ class AccessMode(enum.Flag):
         return mode
 
     def to_string(self) -> str:
-        out = ""
-        if self & AccessMode.R:
-            out += "r"
-        if self & AccessMode.E:
-            out += "e"
-        if self & AccessMode.W:
-            out += "w"
-        return out or "n"
+        return _MODE_STRINGS[self._value_]
+
+
+#: Every ``AccessMode``, indexed by its value (the three bits' eight
+#: combinations).
+_MODES = tuple(AccessMode(v) for v in range(8))
+#: Each mode's Multics spelling, indexed by value: r, e, w in that
+#: order, ``"n"`` for none.
+_MODE_STRINGS = tuple(
+    "".join(ch for bit, ch in ((AccessMode.R, "r"), (AccessMode.E, "e"),
+                               (AccessMode.W, "w")) if mode & bit) or "n"
+    for mode in _MODES
+)
 
 
 class Intent(enum.Enum):
-    """What a reference is trying to do."""
+    """What a reference is trying to do.
+
+    Hashed by identity (members are singletons and ``Enum`` compares
+    by identity), so the associative memory's keys hash in C rather
+    than through ``Enum.__hash__``.
+    """
 
     READ = "read"
     WRITE = "write"
     FETCH = "fetch"  #: instruction fetch
+
+    __hash__ = object.__hash__
 
 
 @dataclass(slots=True)

@@ -18,12 +18,13 @@ from typing import TYPE_CHECKING
 
 from repro.config import NUM_RINGS
 from repro.errors import AccessDenied, InvalidArgument, NoSuchEntry, QuotaExceeded
-from repro.fs.acl import Acl
+from repro.fs.acl import Acl, AclEntry
 from repro.fs.directory import Branch, Directory
 from repro.hw.rings import RingBrackets
 from repro.hw.segmentation import SDW, AccessMode
 from repro.kernel.gates import Gate, PRIVILEGED_GATE
 from repro.security.mac import BOTTOM, SecurityLabel
+from repro.security.principal import PrincipalPattern
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.services import KernelServices
@@ -51,7 +52,8 @@ def _check_dir(services: "KernelServices", process: "Process",
 
 def _owner_acl(process: "Process") -> Acl:
     p = _principal(process)
-    return Acl.make((f"{p.person}.{p.project}.*", "rew"))
+    return Acl([AclEntry(PrincipalPattern(p.person, p.project, "*"),
+                         AccessMode.REW)])
 
 
 def _used_pages(services: "KernelServices", directory: Directory) -> int:

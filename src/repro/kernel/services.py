@@ -12,6 +12,7 @@ top of these services — the services themselves are common substrate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 from repro.config import SupervisorKind, SystemConfig
@@ -59,21 +60,20 @@ class ProcessKernelState:
     """Kernel-side state for one process (never user-writable)."""
 
     kst: KnownSegmentTable = field(default_factory=KnownSegmentTable)
-    #: Legacy only: the unsplit KST holding in-kernel reference names,
-    #: pathnames, and initiate counts (see repro.kernel.kst_legacy).
-    legacy_kst: "LegacyKnownSegmentTable" = field(
-        default_factory=lambda: _make_legacy_kst()
-    )
     #: Legacy only: in-kernel working directory (a directory UID).
     working_dir_uid: int | None = None
     #: Legacy only: in-kernel search rules (directory UIDs, in order).
     search_rules: list[int] = field(default_factory=list)
 
+    @cached_property
+    def legacy_kst(self) -> "LegacyKnownSegmentTable":
+        """Legacy only: the unsplit KST holding in-kernel reference
+        names, pathnames, and initiate counts (see
+        repro.kernel.kst_legacy).  Built on first use, so a process
+        under the kernel supervisor, which never reads it, has none."""
+        from repro.kernel.kst_legacy import LegacyKnownSegmentTable
 
-def _make_legacy_kst():
-    from repro.kernel.kst_legacy import LegacyKnownSegmentTable
-
-    return LegacyKnownSegmentTable()
+        return LegacyKnownSegmentTable()
 
 
 class KernelServices:

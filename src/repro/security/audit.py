@@ -7,11 +7,14 @@ table's ring/argument/handler refusals, the io-gate *-property check,
 penetration experiments use the log to demonstrate that no attack
 produced a ``granted`` record it should not have.
 
-The log is a ring buffer of frozen :class:`AuditRecord` entries, each
-carrying a sequence number, the principal, the object, the ring the
-request came from, a category naming the mechanism that decided
-(``acl``, ``mac``, ``ring``, ``gate``, ``args``, ``revocation``), the
-decision, and the simulated timestamp.
+The log is a ring buffer of decisions, each carrying a sequence
+number, the principal, the object, the ring the request came from, a
+category naming the mechanism that decided (``acl``, ``mac``, ``ring``,
+``gate``, ``args``, ``revocation``), the decision, and the simulated
+timestamp.  The ring holds each decision as a plain tuple in
+:class:`AuditRecord` field order, and the readers build the frozen
+records (or, for the export, their dicts) on read: most records of a
+long run are evicted unread, and logging is on every gate's path.
 
 Levels: ``all`` records every decision, ``deny`` only refusals and
 errors, ``off`` nothing.  At any level except ``off`` the completeness
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
 #: Recognized audit levels, least to most verbose.
 LEVELS = ("off", "deny", "all")
@@ -45,6 +48,12 @@ class AuditRecord:
     detail: str = ""
 
 
+#: ``AuditRecord``'s field names, in the order the ring's tuples hold
+#: them.
+_FIELDS = tuple(f.name for f in fields(AuditRecord))
+_DECISION = _FIELDS.index("decision")
+
+
 class AuditLog:
     """Bounded ring buffer of security decisions."""
 
@@ -56,7 +65,8 @@ class AuditLog:
             raise ValueError("audit capacity must be positive")
         self.capacity = capacity
         self.level = level
-        self._records: deque[AuditRecord] = deque(maxlen=capacity)
+        #: Accepted decisions, as ``AuditRecord`` field tuples.
+        self._records: deque[tuple] = deque(maxlen=capacity)
         #: Decisions offered to the log (before level filtering).
         self.seen = 0
         #: Records evicted by the capacity bound after being accepted.
@@ -88,7 +98,7 @@ class AuditLog:
         self.seq += 1
         if decision != "granted":
             self.denials += 1
-        self._records.append(AuditRecord(
+        self._records.append((
             self.seq, time, principal, obj, action, ring, category,
             decision, detail,
         ))
@@ -99,10 +109,11 @@ class AuditLog:
         return len(self._records)
 
     def records(self) -> list[AuditRecord]:
-        return list(self._records)
+        return [AuditRecord(*r) for r in self._records]
 
     def denied(self) -> list[AuditRecord]:
-        return [r for r in self._records if r.decision != "granted"]
+        return [AuditRecord(*r) for r in self._records
+                if r[_DECISION] != "granted"]
 
     # -- export ----------------------------------------------------------
 
@@ -116,7 +127,7 @@ class AuditLog:
                 "seen": self.seen,
                 "dropped": self.dropped,
                 "denials": self.denials,
-                "records": [asdict(r) for r in self._records],
+                "records": [dict(zip(_FIELDS, r)) for r in self._records],
             },
             indent=indent,
         )

@@ -3,13 +3,14 @@ ring-buffer mechanics, levels, JSON export, and the completeness
 guarantee — every deny raised anywhere appears in the audit."""
 
 import json
+from dataclasses import asdict
 
 import pytest
 
 from repro.errors import AccessDenied, AccessViolation, InvalidArgument
 from repro.fs.acl import Acl
 from repro.hw.segmentation import AccessMode
-from repro.security.audit import AuditLog
+from repro.security.audit import AuditLog, AuditRecord
 from repro.security.mac import SecurityLabel
 from repro.security.reference_monitor import ReferenceMonitor
 from repro.system import MulticsSystem
@@ -73,6 +74,50 @@ class TestTrailMechanics:
             "category": "acl", "decision": "denied",
             "detail": "acl grants only 'r'",
         }
+
+    def test_reads_rebuild_the_logged_fields_across_a_wrap(self):
+        """The ring keeps field tuples; ``records()``, ``denied()`` and
+        the export rebuild exactly the records the calls logged, and
+        the export is byte for byte the one built from those records."""
+        audit = AuditLog(capacity=5)
+        logged = []
+        for i in range(13):
+            fields = dict(
+                time=10 * i, principal=f"P{i % 4}.Proj", obj=f"seg{i}",
+                action=("r", "call", "rw")[i % 3],
+                decision=("granted", "denied", "error", "granted")[i % 4],
+                detail=f"why {i}" if i % 2 else "",
+                ring=(None, 4, 1)[i % 3],
+                category=("acl", "gate", "mac", "args")[i % 4],
+            )
+            audit.log(**fields)
+            logged.append(AuditRecord(
+                seq=i + 1, time=fields["time"],
+                principal=fields["principal"], object=fields["obj"],
+                action=fields["action"], ring=fields["ring"],
+                category=fields["category"],
+                decision=fields["decision"], detail=fields["detail"],
+            ))
+        kept = logged[-5:]
+        assert audit.dropped == 8
+        assert audit.records() == kept
+        assert all(type(r) is AuditRecord for r in audit.records())
+        assert audit.denied() == [r for r in kept
+                                  if r.decision != "granted"]
+        for indent in (2, None):
+            assert audit.to_json(indent=indent) == json.dumps(
+                {
+                    "schema": "repro.audit/v1",
+                    "level": "all",
+                    "capacity": 5,
+                    "seen": 13,
+                    "dropped": 8,
+                    "denials": sum(r.decision != "granted"
+                                   for r in logged),
+                    "records": [asdict(r) for r in kept],
+                },
+                indent=indent,
+            )
 
 
 class TestMonitorFunnel:

@@ -105,6 +105,21 @@ class TestLegacyNamingGates:
         with pytest.raises(GateViolationError):
             kernel_session.call("hcs_$initiate_path", ">udd")
 
+    def test_only_the_naming_gates_build_a_legacy_kst(
+            self, kernel_session, legacy_session):
+        """The unsplit KST is built on first use, so a process of the
+        kernel supervisor, which has no naming gates, carries none."""
+        states = []
+        for s in (kernel_session, legacy_session):
+            s.create_segment("x")
+            segno = s.initiate(f"{s.home_path}>x")
+            states.append((s.system.services.pstate(s.process), segno))
+        (kernel_state, _), (legacy_state, segno) = states
+        assert "legacy_kst" not in vars(kernel_state)
+        assert "legacy_kst" in vars(legacy_state)
+        assert legacy_state.legacy_kst.is_known(
+            legacy_state.kst.uid_of(segno))
+
 
 class TestLegacyKst:
     def test_initiate_counts(self):
