@@ -489,8 +489,9 @@ class CPU:
         #: Consult an associative memory on every reference and
         #: instruction fetch.
         self.am_enabled = am_enabled
-        #: Optional metering plane (repro.obs.meters): :meth:`execute`
-        #: attributes its cycle deltas to the executing context.
+        #: Optional metering plane (repro.obs.meters): every execution
+        #: (:meth:`stepper`) attributes its cycle deltas to the executing
+        #: context.
         self.meters = meters
         #: Which CPU of the complex this is (0 on a uniprocessor).
         self.cpu_id = cpu_id
@@ -620,32 +621,6 @@ class CPU:
         reflects them to the faulting process; in tests they are the
         assertion of interest.
         """
-        if self.meters is None or not self.meters.enabled:
-            return self._execute(ctx, segno, entry, args, max_instructions)
-        # Attribute this run's cycle deltas to the executing context,
-        # even if it faults out: the counters are plain ints, so the
-        # simulated cost is identical with metering on or off.
-        c0, h0 = self.cycles, self.am_hit_cycles
-        w0, x0 = self.walk_cycles, self.calls_cross_ring
-        try:
-            return self._execute(ctx, segno, entry, args, max_instructions)
-        finally:
-            self.meters.note_execution(
-                ctx,
-                self.cycles - c0,
-                self.am_hit_cycles - h0,
-                self.walk_cycles - w0,
-                self.calls_cross_ring - x0,
-            )
-
-    def _execute(
-        self,
-        ctx: MachineContext,
-        segno: int,
-        entry: int = 0,
-        args: list[int] | None = None,
-        max_instructions: int = 1_000_000,
-    ) -> int:
         runner = self.stepper(ctx, segno, entry, args, max_instructions)
         try:
             while True:
@@ -666,9 +641,7 @@ class CPU:
 
         This is also the SMP complex's hook: it advances each CPU's
         runner a bounded number of cycles per lockstep round, giving a
-        deterministic interleaving on the simulated clock.  Unlike
-        :meth:`execute`, no metering wrap is applied — the complex
-        attributes cycles itself, per slice.
+        deterministic interleaving on the simulated clock.
 
         Protocol: the first ``next()`` runs entry setup and parks before
         the first instruction.  After that the driver advances it with
@@ -699,67 +672,83 @@ class CPU:
         the AM, so its one fetch check is exact, and a block caches no
         decision: no cam or revocation has to reach it.
 
-        Counter updates are *batched*: the single-step fetch hits and
-        the blocks accumulate cycle, hit, and instruction deltas in
-        locals and fold them into the instance counters only at a
-        boundary — a quantum yield, any excursion out of the loop
-        (translation, fetch miss, call, linkage), a return, or an
-        exception (the ``finally`` below; a block that raises partway
-        first charges exactly what single-stepping up to the raise
-        would have).  No event runs and nothing reads the counters
-        between boundaries, so every *observable* value — what the SMP
-        round accounting, the mid-fault virtual clock, the meters, and
-        the snapshot see — is exact.
+        Counter updates are *batched*: the single-step path and the
+        blocks accumulate cycle, hit, walk and instruction deltas in
+        locals and fold them into the CPU's and the AM's counters at
+        three points only — before an excursion that can run other code
+        (a translation, whose page fault reads the live counters for its
+        virtual time; a call or return, whose linkage fault runs the
+        environment's handler), at a quantum yield, and in the
+        ``finally`` below (a block that raises partway first charges
+        exactly what single-stepping up to the raise would have).  A
+        fetch miss runs no other code, so it counts its miss and walk
+        without a fold.  Nothing reads the counters between those
+        points, so every *observable* value — what the SMP round
+        accounting, the mid-fault virtual clock, the meters, and the
+        snapshot see — is exact.
+
+        The ``finally`` also attributes the execution, however it ends
+        (a return, a fault, or a close: the SMP complex closes the
+        runner of a job whose CPU it loses): with metering on, its
+        cycle, AM-hit, walk and crossing deltas go to the executing
+        context through :meth:`repro.obs.meters.Meters.note_execution`.
+        The counters are plain ints, so the simulated cost is identical
+        with metering on or off.
         """
-        code = ctx.code_segment(segno)
-        sdw = ctx.dseg.get(segno)
-        new_ring = call_check(sdw.brackets, ctx.ring, entry, sdw.gates)
-        self.cycles += call_cost(self.costs, self.ring_mode, ctx.ring, new_ring)
-        self._count_call(ctx.ring, new_ring)
-
-        stack: list[int] = []
-        frames: list[_Frame] = [
-            _Frame(-1, -1, ctx.ring, list(args or []), 0)
-        ]
-        slots = frames[-1].slots
-        ctx.ring = new_ring
-        pc = entry
-        executed = 0
-        am = self._am_for(ctx)
-
-        # Hoisted loop invariants.
-        costs = self.costs
-        inst_cost = costs.instruction
-        hit_cost = costs.am_hit
-        walk_cost = costs.translate_walk
-        core_cost = costs.core_access
-        fetch_inst = hit_cost + inst_cost  # a fetch hit plus execution
-        hit_core = hit_cost + core_cost    # a reference served by the AM
-        page_size = self.page_size
-        core_read = self.core.read
-        core_write = self.core.write
-        translate_slow = self._translate
-        dseg = ctx.dseg
-        entries = am._entries if am is not None else None
-        R, W, F = Intent.READ, Intent.WRITE, Intent.FETCH
-        ring = ctx.ring
-        decoded = _decoded_for(code)
-        blocks = _blocks_for(code, page_size)
-        n_inst = len(decoded)
-        fkey = fetch_key(segno, ring)
-
-        target = yield
-        # Pending counter deltas (see docstring): folded into the
-        # instance counters at every boundary, never observable stale.
+        # Counter baselines for the attribution in the ``finally``, and
+        # the pending deltas the three fold points settle (see docstring).
+        c0, h0 = self.cycles, self.am_hit_cycles
+        w0, x0 = self.walk_cycles, self.calls_cross_ring
         cyc = 0      # -> self.cycles
-        hits = 0     # -> am.hits (and am.totals, when bound)
-        hitc = 0     # -> self.am_hit_cycles
-        wlkc = 0     # -> self.walk_cycles (AM-off fetch walks)
+        hits = 0     # -> am.hits (and am.totals, when bound), and
+        #               hits * costs.am_hit -> self.am_hit_cycles
+        wlkc = 0     # -> self.walk_cycles (fetch walks)
         ninst = 0    # -> self.instructions_executed
-        base = self.cycles
-        stall = self.stall_cycles
+        hit_cost = self.costs.am_hit
         try:
+            code = ctx.code_segment(segno)
+            sdw = ctx.dseg.get(segno)
+            new_ring = call_check(sdw.brackets, ctx.ring, entry, sdw.gates)
+            self.cycles += call_cost(self.costs, self.ring_mode, ctx.ring,
+                                     new_ring)
+            self._count_call(ctx.ring, new_ring)
+
+            stack: list[int] = []
+            frames: list[_Frame] = [
+                _Frame(-1, -1, ctx.ring, list(args or []), 0)
+            ]
+            slots = frames[-1].slots
+            ctx.ring = new_ring
+            pc = entry
+            executed = 0
+            am = self._am_for(ctx)
+
+            # Hoisted loop invariants.
+            costs = self.costs
+            inst_cost = costs.instruction
+            walk_cost = costs.translate_walk
+            core_cost = costs.core_access
+            fetch_inst = hit_cost + inst_cost  # a fetch hit plus execution
+            hit_core = hit_cost + core_cost    # a reference served by the AM
+            page_size = self.page_size
+            core_read = self.core.read
+            core_write = self.core.write
+            translate_slow = self._translate
+            dseg = ctx.dseg
+            entries = am._entries if am is not None else None
+            R, W, F = Intent.READ, Intent.WRITE, Intent.FETCH
+            ring = ctx.ring
+            decoded = _decoded_for(code)
+            blocks = _blocks_for(code, page_size)
+            n_inst = len(decoded)
+            fkey = fetch_key(segno, ring)
+
             while True:
+                # Parked: before the first instruction, or at a quantum
+                # boundary with every pending delta folded.
+                target = yield
+                base = self.cycles
+                stall = self.stall_cycles
                 limit = target if target is not None else _NO_TARGET
                 while base + cyc + stall < limit:
                     if (entries is not None and fkey in entries
@@ -785,7 +774,6 @@ class CPU:
                                 k, m = blk.charged(exc)
                                 ninst += k
                                 hits += k + m
-                                hitc += (k + m) * hit_cost
                                 cyc += k * fetch_inst + m * hit_core
                                 raise
                             k = blk.n if nxt >= 0 else ~nxt
@@ -793,7 +781,6 @@ class CPU:
                             executed += k
                             ninst += k
                             hits += k + m
-                            hitc += (k + m) * hit_cost
                             cyc += k * fetch_inst + m * hit_core
                             if nxt >= 0:
                                 pc = nxt
@@ -815,37 +802,22 @@ class CPU:
                     # decision per (segno, ring); every invalidation that
                     # could change it (SDW swap, revocation, teardown)
                     # clears it.  Same order and counters as
-                    # AssociativeMemory.fetch_probe + the full walk.
-                    if entries is not None:
-                        if fkey in entries:
-                            hits += 1
-                            cyc += hit_cost
-                            hitc += hit_cost
-                        else:
-                            # Boundary: run the miss at live counters.
-                            self.cycles += cyc
-                            self.walk_cycles += wlkc
-                            self.instructions_executed += ninst
-                            if hits:
-                                am.hits += hits
-                                self.am_hit_cycles += hitc
-                                if am.totals is not None:
-                                    am.totals.hits += hits
-                            cyc = hits = hitc = wlkc = ninst = 0
+                    # AssociativeMemory.fetch_probe + the full walk; a
+                    # miss runs no other code, so it needs no fold.
+                    if entries is not None and fkey in entries:
+                        hits += 1
+                        cyc += hit_cost
+                    else:
+                        if entries is not None:
                             am.misses += 1
                             if am.totals is not None:
                                 am.totals.misses += 1
-                            sdw = dseg.get(segno)
-                            check_access(sdw, ring, F)
-                            self.cycles += walk_cost
-                            self.walk_cycles += walk_cost
-                            am.fetch_insert(segno, ring, sdw.uid)
-                            base = self.cycles
-                    else:
                         sdw = dseg.get(segno)
                         check_access(sdw, ring, F)
                         cyc += walk_cost
                         wlkc += walk_cost
+                        if entries is not None:
+                            am.fetch_insert(segno, ring, sdw.uid)
 
                     op, a, b, c = decoded[pc]
                     pc += 1
@@ -855,59 +827,71 @@ class CPU:
 
                     if op == _PUSHI:
                         stack.append(a)
-                    elif op == _LOAD or op == _LOADI:
-                        if op == _LOAD:
-                            off = b
-                        else:
+                    elif _LOAD <= op <= _STOREI or _CALL <= op <= _RET:
+                        # An excursion.  Pop the operands, then fold: a
+                        # translation's page fault reads the live
+                        # counters for its virtual time, and a linkage
+                        # fault runs the environment's handler.
+                        if op == _LOADI or op == _STOREI:
                             if not stack:
                                 raise IllegalInstruction(
                                     "operand stack underflow"
                                 )
                             off = stack.pop()
-                        # Boundary: a fault inside the translation reads
-                        # the live counters for its virtual time.
-                        self.cycles += cyc
-                        self.walk_cycles += wlkc
-                        self.instructions_executed += ninst
-                        if hits:
-                            am.hits += hits
-                            self.am_hit_cycles += hitc
-                            if am.totals is not None:
-                                am.totals.hits += hits
-                        cyc = hits = hitc = wlkc = ninst = 0
-                        fr, word = translate_slow(ctx, a, off, R)
-                        self.cycles += core_cost
-                        base = self.cycles
-                        stall = self.stall_cycles
-                        stack.append(core_read(fr, word))
-                    elif op == _STORE or op == _STOREI:
-                        if op == _STORE:
-                            off = b
                         else:
+                            off = b
+                        if op == _STORE or op == _STOREI:
                             if not stack:
                                 raise IllegalInstruction(
                                     "operand stack underflow"
                                 )
-                            off = stack.pop()
-                        if not stack:
-                            raise IllegalInstruction(
-                                "operand stack underflow"
-                            )
-                        value = stack.pop()
+                            value = stack.pop()
                         self.cycles += cyc
                         self.walk_cycles += wlkc
                         self.instructions_executed += ninst
                         if hits:
                             am.hits += hits
-                            self.am_hit_cycles += hitc
+                            self.am_hit_cycles += hits * hit_cost
                             if am.totals is not None:
                                 am.totals.hits += hits
-                        cyc = hits = hitc = wlkc = ninst = 0
-                        fr, word = translate_slow(ctx, a, off, W)
-                        self.cycles += core_cost
+                        cyc = hits = wlkc = ninst = 0
+                        if op == _LOAD or op == _LOADI:
+                            fr, word = translate_slow(ctx, a, off, R)
+                            self.cycles += core_cost
+                            stack.append(core_read(fr, word))
+                        elif op == _STORE or op == _STOREI:
+                            fr, word = translate_slow(ctx, a, off, W)
+                            self.cycles += core_cost
+                            core_write(fr, word, value)
+                        else:
+                            if op == _CALL:
+                                segno, code, pc = self._do_call(
+                                    ctx, frames, stack, segno, pc, a, b, c,
+                                )
+                            elif op == _CALLL:
+                                tgt = self._resolve_link(ctx, a)
+                                segno, code, pc = self._do_call(
+                                    ctx, frames, stack, segno, pc,
+                                    tgt[0], tgt[1], b,
+                                )
+                            else:  # RET
+                                result = stack.pop() if stack else 0
+                                frame = frames.pop()
+                                ctx.ring = frame.return_ring
+                                if not frames:
+                                    return result
+                                stack.append(result)
+                                segno = frame.return_segno
+                                code = ctx.code_segment(segno)
+                                pc = frame.return_pc
+                            ring = ctx.ring
+                            slots = frames[-1].slots
+                            decoded = _decoded_for(code)
+                            blocks = _blocks_for(code, page_size)
+                            n_inst = len(decoded)
+                            fkey = fetch_key(segno, ring)
                         base = self.cycles
                         stall = self.stall_cycles
-                        core_write(fr, word, value)
                     elif op == _LOADF:
                         if 0 <= a < len(slots):
                             stack.append(slots[a])
@@ -999,66 +983,6 @@ class CPU:
                                 "operand stack underflow"
                             )
                         stack[-1], stack[-2] = stack[-2], stack[-1]
-                    elif op == _CALL:
-                        # Boundary: call_cost reads the live counters.
-                        self.cycles += cyc
-                        self.walk_cycles += wlkc
-                        self.instructions_executed += ninst
-                        if hits:
-                            am.hits += hits
-                            self.am_hit_cycles += hitc
-                            if am.totals is not None:
-                                am.totals.hits += hits
-                        cyc = hits = hitc = wlkc = ninst = 0
-                        segno, code, pc = self._do_call(
-                            ctx, frames, stack, segno, pc, a, b, c,
-                        )
-                        base = self.cycles
-                        stall = self.stall_cycles
-                        ring = ctx.ring
-                        slots = frames[-1].slots
-                        decoded = _decoded_for(code)
-                        blocks = _blocks_for(code, page_size)
-                        n_inst = len(decoded)
-                        fkey = fetch_key(segno, ring)
-                    elif op == _CALLL:
-                        self.cycles += cyc
-                        self.walk_cycles += wlkc
-                        self.instructions_executed += ninst
-                        if hits:
-                            am.hits += hits
-                            self.am_hit_cycles += hitc
-                            if am.totals is not None:
-                                am.totals.hits += hits
-                        cyc = hits = hitc = wlkc = ninst = 0
-                        tgt = self._resolve_link(ctx, a)
-                        segno, code, pc = self._do_call(
-                            ctx, frames, stack, segno, pc, tgt[0], tgt[1], b,
-                        )
-                        base = self.cycles
-                        stall = self.stall_cycles
-                        ring = ctx.ring
-                        slots = frames[-1].slots
-                        decoded = _decoded_for(code)
-                        blocks = _blocks_for(code, page_size)
-                        n_inst = len(decoded)
-                        fkey = fetch_key(segno, ring)
-                    elif op == _RET:
-                        result = stack.pop() if stack else 0
-                        frame = frames.pop()
-                        ctx.ring = frame.return_ring
-                        ring = frame.return_ring
-                        if not frames:
-                            return result
-                        stack.append(result)
-                        segno = frame.return_segno
-                        code = ctx.code_segment(segno)
-                        pc = frame.return_pc
-                        slots = frames[-1].slots
-                        decoded = _decoded_for(code)
-                        blocks = _blocks_for(code, page_size)
-                        n_inst = len(decoded)
-                        fkey = fetch_key(segno, ring)
                     elif op == _HALT:
                         return stack[-1] if stack else 0
                     else:  # pragma: no cover - enum is closed
@@ -1072,24 +996,30 @@ class CPU:
                 self.instructions_executed += ninst
                 if hits:
                     am.hits += hits
-                    self.am_hit_cycles += hitc
+                    self.am_hit_cycles += hits * hit_cost
                     if am.totals is not None:
                         am.totals.hits += hits
-                cyc = hits = hitc = wlkc = ninst = 0
-                target = yield
-                base = self.cycles
-                stall = self.stall_cycles
+                cyc = hits = wlkc = ninst = 0
         finally:
-            # Returns and contained faults exit through here: fold
-            # whatever is pending so job accounting stays exact.
+            # Every exit folds whatever is pending and attributes the
+            # whole execution.
             self.cycles += cyc
             self.walk_cycles += wlkc
             self.instructions_executed += ninst
             if hits:
                 am.hits += hits
-                self.am_hit_cycles += hitc
+                self.am_hit_cycles += hits * hit_cost
                 if am.totals is not None:
                     am.totals.hits += hits
+            meters = self.meters
+            if meters is not None and meters.enabled:
+                meters.note_execution(
+                    ctx,
+                    self.cycles - c0,
+                    self.am_hit_cycles - h0,
+                    self.walk_cycles - w0,
+                    self.calls_cross_ring - x0,
+                )
 
     # -- helpers -----------------------------------------------------------
 

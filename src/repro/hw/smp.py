@@ -44,7 +44,9 @@ every run **bit-for-bit reproducible**:
   its entry point on another CPU (:meth:`CPU.stepper` builds fresh
   frames per call, so a restart is clean), the offline CPU is skipped
   by dispatch, and the complex runs on degraded.  Losing a CPU costs
-  the interrupted job's elapsed time — denial of use — never its data.
+  the interrupted job's elapsed time — denial of use — never its data;
+  the cycles it ran are attributed like any other execution's (the
+  complex closes its runner).
   :meth:`SmpComplex.restore_cpu` is the other half of the arc: an
   offline CPU rejoins dispatch with a cold (cammed) private AM, so a
   chaos scenario can script a full degrade-and-recover window.
@@ -105,8 +107,7 @@ class CpuJob:
 class _Slot:
     """One CPU's current assignment."""
 
-    __slots__ = ("job", "gen", "primed", "c0", "h0", "w0", "x0", "s0",
-                 "i0")
+    __slots__ = ("job", "gen", "primed", "c0", "s0", "i0")
 
     def __init__(self, job: CpuJob, gen) -> None:
         self.job = job
@@ -117,9 +118,6 @@ class _Slot:
         self.primed = False
         # Per-job counter baselines on the hosting CPU.
         self.c0 = 0
-        self.h0 = 0
-        self.w0 = 0
-        self.x0 = 0
         self.s0 = 0
         self.i0 = 0
 
@@ -308,6 +306,9 @@ class SmpComplex:
         self._running[index] = None
         requeued: CpuJob | None = None
         if slot is not None:
+            # Closing the runner attributes the displaced run, as any
+            # other exit from the stepper does.
+            slot.gen.close()
             requeued = slot.job
             requeued.cpu_id = -1
             requeued.started = -1
@@ -364,8 +365,7 @@ class SmpComplex:
                 job.ctx, job.segno, job.entry, job.args,
                 job.max_instructions,
             ))
-            slot.c0, slot.h0 = cpu.cycles, cpu.am_hit_cycles
-            slot.w0, slot.x0 = cpu.walk_cycles, cpu.calls_cross_ring
+            slot.c0 = cpu.cycles
             slot.s0 = stall0
             slot.i0 = cpu.instructions_executed
             job.cpu_id = i
@@ -388,14 +388,7 @@ class SmpComplex:
         else:
             self.jobs_failed += 1
         if self.meters is not None and self.meters.enabled:
-            # The same attribution CPU.execute performs, per job.
-            self.meters.note_execution(
-                job.ctx,
-                job.cycles,
-                cpu.am_hit_cycles - slot.h0,
-                cpu.walk_cycles - slot.w0,
-                cpu.calls_cross_ring - slot.x0,
-            )
+            # The stepper's exit attributed the execution itself.
             self.meters.note_cpu_slice(index, 0, 0, jobs=1)
         if self.tracer.enabled:
             self.tracer.point(

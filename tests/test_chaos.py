@@ -229,6 +229,26 @@ class TestCpuLoss:
             assert any(j.cpu_id == 0 for j in jobs)
         system.shutdown()
 
+    def test_displaced_job_is_attributed(self):
+        # The cycles a job ran on a CPU before losing it land in its
+        # process's bucket, like any other execution's.
+        system = smp_system(n_processors=2)
+        cx = system.cpu_complex(n_cpus=2)
+        jobs, _sessions = make_jobs(system, n_jobs=2)
+
+        def lose_busy_cpu(complex_):
+            if complex_.online(1) and any(
+                    j.cpu_id == 1 and not j.done for j in jobs):
+                complex_.lose_cpu(1)
+
+        cx.run_jobs(jobs, on_round=lose_busy_cpu)
+        assert cx.jobs_requeued == 1
+        assert [j.result for j in jobs] == [96, 96]
+        meters = system.meters
+        assert meters.coverage() == 1.0
+        assert meters.attributed_cycles() == meters.total_cycles()
+        system.shutdown()
+
     def test_last_cpu_is_never_taken(self):
         system = smp_system(n_processors=1)
         cx = system.cpu_complex(n_cpus=1)

@@ -1,7 +1,10 @@
 """Metric-name lint: every name a booted system registers must match
 the registry's grammar and be listed in the DESIGN.md "Metric name
-table" — and the table must not list names nothing registers."""
+table" — and the table must not list names nothing registers.  Beside
+it, the DESIGN.md "System inventory" must name only modules that
+exist."""
 
+import importlib.util
 import pathlib
 import re
 
@@ -105,4 +108,20 @@ def test_no_stale_documented_names(live_names):
     stale = sorted(documented_names() - live_names)
     assert stale == [], (
         f"DESIGN.md metric name table lists unregistered names: {stale}"
+    )
+
+
+def inventory_modules() -> list[str]:
+    """Every `repro.…` name in DESIGN.md's "System inventory" section."""
+    section = DESIGN.read_text().split("## System inventory", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    return re.findall(r"`(repro(?:\.[a-z_]+)*)`", section)
+
+
+def test_inventory_names_only_real_modules():
+    names = inventory_modules()
+    assert len(names) > 40
+    missing = [n for n in names if importlib.util.find_spec(n) is None]
+    assert missing == [], (
+        f"DESIGN.md's system inventory names no such module: {missing}"
     )

@@ -15,7 +15,9 @@ counter, every core word and every PTW bit:
   clearing the PTW used/modified bits at every yield as a replacement
   sweep does, with a tiny FIFO pager evicting under the blocks;
 * a parity error injected on the k-th core read, which lands inside a
-  block partway through it.
+  block partway through it;
+* the profiles under a cost model whose prices all differ, where the
+  AM-hit split must also equal hits × ``am_hit``.
 
 The random-program version of the first oracle is in
 ``tests/test_properties.py``.
@@ -79,7 +81,8 @@ def profile_code(name: str) -> CodeSegment:
 
 
 def profile_world(name: str, private_am: bool = False,
-                  parity_at: int | None = None) -> tuple[CPU, Ctx]:
+                  parity_at: int | None = None,
+                  costs: CostModel | None = None) -> tuple[CPU, Ctx]:
     """One workload profile's program over its data segment, whose
     page 0 starts resident and filled."""
     profile = PROFILES[name]
@@ -96,7 +99,7 @@ def profile_world(name: str, private_am: bool = False,
     pager = Pager()
     cpu = CPU(
         MemoryLevel("core", DATA_FRAMES, 1, PAGE, injector=injector),
-        CostModel(), RingMode.HARDWARE_6180, PAGE,
+        costs or CostModel(), RingMode.HARDWARE_6180, PAGE,
         on_missing_page=pager,
         private_am=AssociativeMemory() if private_am else None,
     )
@@ -249,3 +252,31 @@ class TestParityInsideBlocks:
         # One read per loop iteration: every injection that has a read
         # to land on must fault the job.
         assert faulted == min(39, PROFILES[name].iters)
+
+
+#: Pairwise-distinct prices.  The default model prices an instruction,
+#: a core access and an AM hit alike, so a charge booked under the
+#: wrong one would not show under it.
+DISTINCT_COSTS = CostModel(instruction=2, call_in_ring=11, core_access=3,
+                           translate_walk=5, am_hit=7)
+
+
+class TestDistinctCosts:
+    # A run that returns settles its counters before the RET; one that
+    # faults inside a block (parity on the 5th read) settles them on
+    # the way out.
+    @pytest.mark.parametrize("parity_at,outcome",
+                             [(None, "ok"), (5, "ParityError")],
+                             ids=["returns", "faults"])
+    @pytest.mark.parametrize("name", PROFILE_NAMES)
+    def test_blocks_and_cost_splits_hold(self, name, parity_at, outcome):
+        cpu_b, ctx_b = profile_world(name, parity_at=parity_at,
+                                     costs=DISTINCT_COSTS)
+        got = run_free(cpu_b, ctx_b)
+        cpu_s, ctx_s = profile_world(name, parity_at=parity_at,
+                                     costs=DISTINCT_COSTS)
+        assert got == one_cycle(cpu_s, ctx_s)
+        assert got[0] == outcome
+        assert fingerprint(cpu_b, ctx_b) == fingerprint(cpu_s, ctx_s)
+        hits = ctx_b.dseg.am.hits
+        assert cpu_b.am_hit_cycles == hits * DISTINCT_COSTS.am_hit > 0
