@@ -13,9 +13,9 @@ Instructions live in code segments as a Python list (``SDW`` data pages
 hold only *data* words); this keeps the simulation light while leaving
 the protection semantics intact, because instruction fetch still
 performs the FETCH access check against the code segment's SDW.
-Straight-line runs execute as compiled superblocks that make the same
-per-reference checks as the translation's AM-hit path and stop before
-anything else (:meth:`CPU.stepper`).
+Straight-line runs and loops execute as compiled superblocks that make
+the same per-reference checks as the translation's AM-hit path and stop
+before anything else (:meth:`CPU.stepper`).
 
 Dynamic linking: the ``CALLL`` instruction calls through a *linkage
 section*.  An unsnapped link raises a linkage fault which the
@@ -99,8 +99,8 @@ class CodeSegment:
     The interpreter (:meth:`CPU.stepper`) caches a decoded form of
     ``instructions`` — plain ``(opcode, a, b, c)`` int tuples — on the
     segment, so a program shared by thousands of processes decodes
-    once.  Beside it sits the block table (compiled straight-line runs,
-    per page size and entry pc).  Both are dropped whenever the
+    once.  Beside it sits the block table (compiled runs and loops, per
+    page size and entry pc).  Both are dropped whenever the
     instruction list is replaced or resized.
     """
 
@@ -169,10 +169,10 @@ def _decoded_for(code: CodeSegment) -> list[tuple[int, int, int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# Superblocks: straight-line runs compiled to one Python function each
+# Superblocks: runs and loops compiled to one Python function each
 # ---------------------------------------------------------------------------
 
-#: Most instructions one block holds.
+#: Most instructions one block holds (in one pass, for a loop).
 _BLOCK_CAP = 32
 
 #: Block-table slot of a pc whose block has not been compiled yet.
@@ -207,42 +207,64 @@ _BINARY = {
 
 
 class _Block:
-    """One compiled straight-line run of a code segment.
+    """One compiled run of a code segment: a single pass, or a loop.
 
-    ``run(stack, slots, entries, ring, core_read, core_write)`` executes
-    it.  It returns the next pc (>= 0) when every instruction ran, or
-    ``~k`` when it stopped before instruction ``k`` (an AM miss, a
+    ``run(stack, slots, entries, ring, core_read, core_write, room,
+    budget, fetch_inst, hit_core)`` executes it.  ``room`` is the
+    cycles left before the target (infinite without one), ``budget``
+    the instructions left, and the last two the prices of an executed
+    instruction and of an AM-served reference.  It returns ``(pc, k,
+    m)``: the next pc (>= 0) after a branch or the last instruction,
+    or ``~pc`` of the instruction it stopped before (an AM miss, a
     failed witness, a negative offset, a zero divisor), which the
-    single-step path then runs.  ``refs[k]`` counts the memory
-    references among the first ``k`` instructions, so the caller can
-    charge exactly what single-stepping them would have.
+    single-step path then runs; and the ``k`` instructions and ``m``
+    references it ran, which the caller charges exactly as
+    single-stepping them would have.
+
+    A *loop* block ends with a ``JMP`` back to its own start and runs
+    pass after pass.  The caller fits the first pass; before each later
+    one the block makes the same two tests itself — the pass's cost up
+    to its last instruction must leave the CPU short of the target and
+    the budget must cover the pass — and returns its start when either
+    fails.
     """
 
-    __slots__ = ("run", "n", "depth", "max_slot", "refs", "_charged")
+    __slots__ = ("run", "n", "depth", "max_slot", "tail_refs", "refs",
+                 "loop", "_charged")
 
     def __init__(self, run, n: int, depth: int, max_slot: int,
-                 refs: tuple[int, ...], charged: list) -> None:
+                 tail_refs: int, refs: int, loop: bool,
+                 charged: list) -> None:
         self.run = run
-        #: Instructions in the whole block.
+        #: Instructions in one pass.
         self.n = n
         #: Operand-stack values the block consumes from below its entry.
         self.depth = depth
         #: Highest frame slot the block reads or writes (-1: none).
         self.max_slot = max_slot
+        #: References before a pass's last instruction, and in a pass.
+        self.tail_refs = tail_refs
         self.refs = refs
-        #: Source line -> (instructions, references) single-stepping
-        #: would have charged when that line raises.
+        self.loop = loop
+        #: Source line -> (instructions, references) of the pass that
+        #: single-stepping would have charged when that line raises.
         self._charged = charged
 
     def charged(self, exc: BaseException) -> tuple[int, int]:
         """(instructions, references) to charge for a run that raised
-        ``exc``: every instruction up to and including the one whose
-        line raised, and its reference only once the AM served it."""
+        ``exc``: every completed pass, then every instruction of the
+        current one up to and including the one whose line raised, and
+        its reference only once the AM served it."""
         code = self.run.__code__
         tb = exc.__traceback__
         while tb.tb_frame.f_code is not code:
             tb = tb.tb_next
-        return self._charged[tb.tb_lineno]
+        k, m = self._charged[tb.tb_lineno]
+        if self.loop:
+            passes = tb.tb_frame.f_locals["c"]
+            k += passes * self.n
+            m += passes * self.refs
+        return k, m
 
 
 def _blocks_for(code: CodeSegment, page_size: int) -> list:
@@ -265,21 +287,28 @@ def _lit(value) -> str:
 
 def _compile_block(decoded: list, start: int, page_size: int,
                    segno: int) -> _Block | None:
-    """Compile the straight-line run at ``start``; None if it would hold
-    fewer than two instructions.
+    """Compile the run at ``start``; None if a pass would hold fewer
+    than two instructions.
 
-    The run ends at the first branch and stops before a call, return or
-    halt, an operand that is not exactly ``int``, a negative frame slot
-    or constant offset, and a branch out of the segment.  The operand
-    stack becomes locals; only values below the block's entry are
-    popped (all at once, on entry) and every exit pushes the pending
-    values back.
+    The run takes each ``JZ``/``JNZ`` as a side exit and goes on past
+    it.  It ends at a ``JMP``, and stops before a call, return or halt,
+    an operand that is not exactly ``int``, a negative frame slot or
+    constant offset, a branch out of the segment, and
+    :data:`_BLOCK_CAP` instructions.  A ``JMP`` back to ``start`` closes
+    a loop when the run pops nothing from below its entry and leaves no
+    value pending there, so every pass starts on the same operand stack.
+    The operand stack becomes locals; only values below the block's
+    entry are popped (all at once, on entry) and every exit pushes the
+    pending values back.
     """
     n_inst = len(decoded)
-    # Pass 1: the extent, the entry depth and the frame slots touched.
+    # Pass 1: the extent, the entry depth, the frame slots touched, the
+    # references before each instruction, and whether the run loops.
     end = start
     height = low = 0
     max_slot = -1
+    refs = [0]
+    loop = False
     while end < n_inst and end - start < _BLOCK_CAP:
         op, a, b, _ = decoded[end]
         if op in _STOPS or (op in _USES_A and type(a) is not int):
@@ -296,8 +325,10 @@ def _compile_block(decoded: list, start: int, page_size: int,
         height -= pops
         low = min(low, height)
         height += pushes
+        refs.append(refs[-1] + (_LOAD <= op <= _STOREI))
         end += 1
-        if op in _BRANCHES:
+        if op == _JMP:
+            loop = a == start and low == 0 and height == 0
             break
     n = end - start
     if n < 2:
@@ -306,14 +337,24 @@ def _compile_block(decoded: list, start: int, page_size: int,
 
     # Pass 2: the source.  ``sym`` is the pending operand stack (ints
     # are literals, strs are locals); ``charged[line]`` is what a raise
-    # on that line costs.
-    src = ["def block(stack, slots, entries, ring, core_read, core_write):"]
+    # on that line costs within its pass.
+    src = ["def block(stack, slots, entries, ring, core_read, core_write,"
+           " room, budget, fetch_inst, hit_core):"]
     charged = [(0, 0), (0, 0)]
     sym: list = [f"s{i}" for i in range(depth)]
     for i in reversed(range(depth)):
         src.append(f"s{i} = stack.pop()")
         charged.append((0, 0))
-    refs = [0]
+    indent = ""
+    if loop:
+        # The caller fitted the first pass; ``c`` counts completed ones.
+        src += [f"room -= {n - 1} * fetch_inst + {refs[n - 1]} * hit_core",
+                f"budget -= {n}",
+                f"step = {n} * fetch_inst + {refs[n]} * hit_core",
+                "c = 0",
+                "while True:"]
+        charged += [(0, 0)] * 5
+        indent = "    "
     fresh = 0
 
     def val(x) -> str:
@@ -324,16 +365,20 @@ def _compile_block(decoded: list, start: int, page_size: int,
             return f"stack.append({val(pending[0])})"
         return f"stack.extend(({', '.join(map(val, pending))}))"
 
-    def exit_with(pending: list, ret: int) -> str:
+    def exit_with(pending: list, ret: int, k: int) -> str:
+        # Leave for ``ret`` after the pass's first ``k`` instructions.
+        counts = f"{k}, {refs[k]}"
+        if loop:
+            counts = f"c * {n} + {k}, c * {refs[n]} + {refs[k]}"
         if not pending:
-            return f"return {ret}"
-        return f"{push(pending)}; return {ret}"
+            return f"return {_lit(ret)}, {counts}"
+        return f"{push(pending)}; return {_lit(ret)}, {counts}"
 
     def emit(line: str, served: bool = False) -> None:
         # A raise here charges instruction j, and its reference once the
         # AM has served it.
-        src.append(line)
-        charged.append((j + 1, refs[-1] + served))
+        src.append(indent + line)
+        charged.append((j + 1, refs[j] + served))
 
     def assign(expr: str, served: bool = False) -> None:
         nonlocal fresh
@@ -343,7 +388,7 @@ def _compile_block(decoded: list, start: int, page_size: int,
 
     for j in range(n):
         op, a, b, _ = decoded[start + j]
-        stop = exit_with(sym, ~j)
+        stop = exit_with(sym, ~(start + j), j)
         if op in (_LOAD, _STORE, _LOADI, _STOREI):
             intent = "R" if op in (_LOAD, _LOADI) else "W"
             if op == _LOAD or op == _STORE:
@@ -367,9 +412,7 @@ def _compile_block(decoded: list, start: int, page_size: int,
                 emit("ptw.modified = True", served=True)
                 emit(f"core_write(fr, {word}, {val(sym.pop())})",
                      served=True)
-            refs.append(refs[-1] + 1)
-            continue
-        if op == _PUSHI:
+        elif op == _PUSHI:
             sym.append(a)
         elif op == _LOADF:
             assign(f"slots[{a}]")
@@ -393,24 +436,28 @@ def _compile_block(decoded: list, start: int, page_size: int,
         elif op == _SWAP:
             sym[-1], sym[-2] = sym[-2], sym[-1]
         elif op == _JMP:
-            emit(exit_with(sym, a))
-        else:  # JZ / JNZ
+            if not loop:
+                emit(exit_with(sym, a, n))
+        else:  # JZ / JNZ: a side exit
             cond = val(sym.pop())
-            if sym:
-                emit(push(sym))
-            emit(f"if {cond} {'==' if op == _JZ else '!='} 0: return {a}")
-            emit(f"return {start + n}")
-        refs.append(refs[-1])
-    if op not in _BRANCHES:
-        src.append(exit_with(sym, start + n))
-        charged.append((n, refs[-1]))
+            emit(f"if {cond} {'==' if op == _JZ else '!='} 0: "
+                 f"{exit_with(sym, a, j + 1)}")
+    if loop:
+        # Before each later pass, the stepper's two fit tests.
+        src += [f"{indent}c += 1",
+                f"{indent}if c * step >= room or c * {n} > budget: "
+                f"return {start}, c * {n}, c * {refs[n]}"]
+        charged += [(n, refs[n]), (0, 0)]
+    elif op != _JMP:
+        src.append(exit_with(sym, start + n, n))
+        charged.append((n, refs[n]))
 
     source = "\n    ".join(src) + "\n"
     namespace = {"R": Intent.READ, "W": Intent.WRITE}
     exec(compile(source, f"<block seg {segno} pc {start}>", "exec"),
          namespace)
-    return _Block(namespace["block"], n, depth, max_slot, tuple(refs),
-                  charged)
+    return _Block(namespace["block"], n, depth, max_slot, refs[n - 1],
+                  refs[n], loop, charged)
 
 
 @dataclass
@@ -656,20 +703,29 @@ class CPU:
         the translation cost — AM hit or full walk — charged.
 
         Two paths run instructions, and only the machine's state picks
-        one.  A *block* is the straight-line run starting at the pc,
-        compiled once per code segment into one Python function (see
-        :func:`_compile_block`).  It runs when the AM is on and holds
-        the fetch entry for (segno, ring); when its cost up to its last
-        instruction, every reference an AM hit, still leaves the CPU
-        short of the target; when the instruction budget covers it; and
-        when the operand stack and the frame hold what it touches.
-        Otherwise one instruction single-steps.  A block keeps every
-        check: each reference probes the live AM with the same key and
-        witnesses, sets the PTW bits and touches core in order, and a
-        reference that would miss or fail a witness — or a zero divisor
-        — ends the block before that instruction, for the single-step
-        path to run.  Nothing inside a block inserts into or drops from
-        the AM, so its one fetch check is exact, and a block caches no
+        one.  A *block* is the run starting at the pc, past conditional
+        branches (side exits) up to a ``JMP``, compiled once per code
+        segment into one Python function (see :func:`_compile_block`);
+        a block whose ``JMP`` returns to its own start is a loop.  It
+        runs when the AM is on and holds the fetch entry for (segno,
+        ring); when the cost up to its pass's last instruction, every
+        reference an AM hit, still leaves the CPU short of the target;
+        when the instruction budget covers the pass; and when the
+        operand stack and the frame hold what it touches.  Otherwise
+        one instruction single-steps.  A loop block makes the same two
+        fit tests itself before each later pass, and returns to its
+        start when either fails.  The other tests need no re-check:
+        nothing inside a block inserts into or drops from the AM, so
+        the fetch entry is still there; a loop pops nothing from below
+        its entry and closes with no value pending, so every pass starts
+        on the same operand stack; and no block resizes the frame.  A
+        block returns the next pc (``~pc`` when it stopped before an
+        instruction) with the instructions and references it ran, which
+        are charged here.  It keeps every check: each reference probes
+        the live AM with the same key and witnesses, sets the PTW bits
+        and touches core in order, and a reference that would miss or
+        fail a witness — or a zero divisor — ends the block before that
+        instruction, for the single-step path to run.  A block caches no
         decision: no cam or revocation has to reach it.
 
         Counter updates are *batched*: the single-step path and the
@@ -693,7 +749,10 @@ class CPU:
         cycle, AM-hit, walk and crossing deltas go to the executing
         context through :meth:`repro.obs.meters.Meters.note_execution`.
         The counters are plain ints, so the simulated cost is identical
-        with metering on or off.
+        with metering on or off.  An execution that ends inside a call
+        (a fault, a ``HALT``, a close) also gets the caller's ring back
+        there, as the returns it skipped would have set it; a quantum
+        yield leaves the ring alone.
         """
         # Counter baselines for the attribution in the ``finally``, and
         # the pending deltas the three fold points settle (see docstring).
@@ -705,6 +764,7 @@ class CPU:
         wlkc = 0     # -> self.walk_cycles (fetch walks)
         ninst = 0    # -> self.instructions_executed
         hit_cost = self.costs.am_hit
+        frames: list[_Frame] = []
         try:
             code = ctx.code_segment(segno)
             sdw = ctx.dseg.get(segno)
@@ -714,9 +774,7 @@ class CPU:
             self._count_call(ctx.ring, new_ring)
 
             stack: list[int] = []
-            frames: list[_Frame] = [
-                _Frame(-1, -1, ctx.ring, list(args or []), 0)
-            ]
+            frames.append(_Frame(-1, -1, ctx.ring, list(args or []), 0))
             slots = frames[-1].slots
             ctx.ring = new_ring
             pc = entry
@@ -757,27 +815,28 @@ class CPU:
                         if blk is _UNCOMPILED:
                             blk = blocks[pc] = _compile_block(
                                 decoded, pc, page_size, segno)
-                        # The cost before the block's last instruction
+                        # The cost before the pass's last instruction
                         # must leave the CPU short of the target, as it
                         # would before each single step.
+                        room = limit - (base + cyc + stall)
                         if (blk is not None
-                                and base + cyc + stall
-                                + (blk.n - 1) * fetch_inst
-                                + blk.refs[-2] * hit_core < limit
+                                and (blk.n - 1) * fetch_inst
+                                + blk.tail_refs * hit_core < room
                                 and executed + blk.n <= max_instructions
                                 and len(stack) >= blk.depth
                                 and len(slots) > blk.max_slot):
                             try:
-                                nxt = blk.run(stack, slots, entries, ring,
-                                              core_read, core_write)
+                                nxt, k, m = blk.run(
+                                    stack, slots, entries, ring, core_read,
+                                    core_write, room,
+                                    max_instructions - executed,
+                                    fetch_inst, hit_core)
                             except BaseException as exc:
                                 k, m = blk.charged(exc)
                                 ninst += k
                                 hits += k + m
                                 cyc += k * fetch_inst + m * hit_core
                                 raise
-                            k = blk.n if nxt >= 0 else ~nxt
-                            m = blk.refs[k]
                             executed += k
                             ninst += k
                             hits += k + m
@@ -788,7 +847,7 @@ class CPU:
                             # Stopped early: the instruction it stopped
                             # before single-steps now (still short of
                             # the target and inside the budget).
-                            pc += k
+                            pc = ~nxt
                     # Single step.
                     if executed >= max_instructions:
                         raise ExecutionLimit(
@@ -1002,7 +1061,11 @@ class CPU:
                 cyc = hits = wlkc = ninst = 0
         finally:
             # Every exit folds whatever is pending and attributes the
-            # whole execution.
+            # whole execution.  One that ends inside a call (a fault, a
+            # HALT, a close) gives the caller its ring back, as the
+            # returns it skipped would have.
+            if frames:
+                ctx.ring = frames[0].return_ring
             self.cycles += cyc
             self.walk_cycles += wlkc
             self.instructions_executed += ninst

@@ -315,3 +315,40 @@ class TestLinkage:
         ctx = Ctx()
         with pytest.raises(IllegalInstruction):
             run([I(Op.CALLL, 5, 0), I(Op.RET)], ctx=ctx)
+
+
+class TestRingRestoredOnEveryExit:
+    """An execution that ends inside a call gives the caller its ring
+    back: the next gate call must be judged from the caller's ring, not
+    the callee's."""
+
+    @staticmethod
+    def gate_world(gate_code):
+        ctx = Ctx()
+        ctx.add_code(1, [I(Op.CALL, 2, 0, 0), I(Op.RET)])
+        ctx.add_code(2, gate_code, brackets=kernel_gate_brackets(),
+                     gates=frozenset({0}))
+        return ctx, make_cpu()
+
+    def test_fault_inside_the_gate(self):
+        ctx, cpu = self.gate_world(
+            [I(Op.PUSHI, 1), I(Op.PUSHI, 0), I(Op.DIV), I(Op.RET)])
+        with pytest.raises(IllegalInstruction, match="division by zero"):
+            cpu.execute(ctx, 1, 0)
+        assert ctx.ring == 4
+
+    def test_halt_inside_the_gate(self):
+        ctx, cpu = self.gate_world([I(Op.PUSHI, 5), I(Op.HALT)])
+        assert cpu.execute(ctx, 1, 0) == 5
+        assert ctx.ring == 4
+
+    def test_close_while_parked_inside_the_gate(self):
+        # A loop in the gate, so the runner parks there at its target.
+        ctx, cpu = self.gate_world(
+            [I(Op.PUSHI, 0), I(Op.POP), I(Op.JMP, 0)])
+        runner = cpu.stepper(ctx, 1, 0)
+        next(runner)
+        runner.send(cpu.cycles + 50)
+        assert ctx.ring == 0
+        runner.close()
+        assert ctx.ring == 4

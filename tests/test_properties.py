@@ -27,7 +27,7 @@ from repro.errors import KernelDenial, ReproError, SegmentFault
 from repro.faults.harness import harness_config, security_decisions
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.hw.assoc import AssociativeMemory
-from repro.hw.cpu import Instruction, Link, Op
+from repro.hw.cpu import _OPCODE, _STACK_EFFECT, Instruction, Link, Op
 from repro.hw.rings import kernel_gate_brackets
 from repro.kernel.locks import KernelLock
 
@@ -341,6 +341,55 @@ _instructions = st.builds(
 
 _programs = st.lists(_instructions, min_size=1, max_size=24)
 
+_body_instructions = st.builds(
+    Instruction,
+    st.sampled_from(_STRAIGHT_LINE),
+    # Mostly the frame's slots 1-3 and the data segments 2 and 4; -1
+    # and 0 (the counter, or the code segment) now and then.
+    st.one_of(st.integers(min_value=1, max_value=4),
+              st.integers(min_value=-1, max_value=0)),
+    st.integers(min_value=-1, max_value=17),
+)
+
+
+@st.composite
+def _loop_programs(draw):
+    """A counted loop: slot 0 counts down to a ``JZ``/``JNZ`` exit at
+    the head, and a random straight-line body with zero net stack
+    effect (padded with ``PUSHI`` before it and ``POP`` after it so it
+    never pops below its entry) runs before a ``JMP`` back to the
+    head.  Such a run compiles to a loop block."""
+    count = draw(st.integers(min_value=0, max_value=12))
+    body = draw(st.lists(_body_instructions, max_size=12))
+    height = low = 0
+    for inst in body:
+        pops, pushes = _STACK_EFFECT[_OPCODE[inst.op]]
+        height -= pops
+        low = min(low, height)
+        height += pushes
+    body = ([Instruction(Op.PUSHI, 3)] * -low + body
+            + [Instruction(Op.POP)] * (height - low))
+    if draw(st.booleans()):
+        test = [Instruction(Op.LOADF, 0)]
+        exit_op = Op.JZ
+    else:
+        test = [Instruction(Op.LOADF, 0), Instruction(Op.PUSHI, 0),
+                Instruction(Op.EQ)]
+        exit_op = Op.JNZ
+    head = 4
+    end = head + len(test) + 1 + len(body) + 5
+    return [
+        # slot 0 = count; slot 3 = 0 (the frame holds slots 0-3)
+        Instruction(Op.PUSHI, count), Instruction(Op.STOREF, 0),
+        Instruction(Op.PUSHI, 0), Instruction(Op.STOREF, 3),
+        *test, Instruction(exit_op, end),
+        *body,
+        Instruction(Op.LOADF, 0), Instruction(Op.PUSHI, 1),
+        Instruction(Op.SUB), Instruction(Op.STOREF, 0),
+        Instruction(Op.JMP, head),
+        Instruction(Op.LOADF, 0), Instruction(Op.RET),
+    ]
+
 
 def _program_world(program, private_am: bool = False):
     """The random program as segment 1, beside a one-page data segment
@@ -381,6 +430,15 @@ def test_random_program_returns_or_raises_a_repro_error(program, args):
         pass
 
 
+def _blocks_match(program, args, budget, private_am):
+    cpu_b, ctx_b = _program_world(program, private_am)
+    got = run_free(cpu_b, ctx_b, args, budget)
+    cpu_s, ctx_s = _program_world(program, private_am)
+    want = one_cycle(cpu_s, ctx_s, args=args, max_instructions=budget)
+    assert got == want
+    assert fingerprint(cpu_b, ctx_b) == fingerprint(cpu_s, ctx_s)
+
+
 @settings(max_examples=600, derandomize=True, deadline=None)
 @given(_programs,
        st.lists(st.integers(min_value=-3, max_value=3), max_size=2),
@@ -402,9 +460,23 @@ def test_blocks_match_one_cycle_stepping(program, args, budget,
     (never a block) reach the same outcome — value, or exception type
     and message — with identical CPU and AM counters, core words and
     PTW bits."""
-    cpu_b, ctx_b = _program_world(program, private_am)
-    got = run_free(cpu_b, ctx_b, args, budget)
-    cpu_s, ctx_s = _program_world(program, private_am)
-    want = one_cycle(cpu_s, ctx_s, args=args, max_instructions=budget)
-    assert got == want
-    assert fingerprint(cpu_b, ctx_b) == fingerprint(cpu_s, ctx_s)
+    _blocks_match(program, args, budget, private_am)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_loop_programs(),
+       st.lists(st.integers(min_value=-3, max_value=3), max_size=2),
+       st.integers(min_value=1, max_value=100),
+       st.booleans())
+# A back edge with a value pending: no loop block may close over it.
+@example([Instruction(Op.PUSHI, 3), Instruction(Op.STOREF, 0),
+          Instruction(Op.LOADF, 0), Instruction(Op.JZ, 10),
+          Instruction(Op.PUSHI, 7), Instruction(Op.LOADF, 0),
+          Instruction(Op.PUSHI, 1), Instruction(Op.SUB),
+          Instruction(Op.STOREF, 0), Instruction(Op.JMP, 2),
+          Instruction(Op.RET)], [], 100, False)
+def test_loop_blocks_match_one_cycle_stepping(program, args, budget,
+                                              private_am):
+    """The same oracle over counted loops, whose loop blocks run pass
+    after pass until the exit, a fault or the budget stops them."""
+    _blocks_match(program, args, budget, private_am)

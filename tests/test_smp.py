@@ -13,9 +13,13 @@ from repro import MulticsSystem
 from repro.errors import BoundsViolation, IllegalInstruction
 from repro.faults.harness import harness_config
 from repro.hw.cpu import Instruction as I, Op
+from repro.hw.rings import kernel_gate_brackets
+from repro.hw.smp import CpuJob
 from repro.kernel.locks import KernelLock, LockTable
 from repro.obs import MetricsRegistry
 from repro.user.object_format import ObjectSegment
+
+from tests.test_hw_cpu import Ctx
 
 SUMMER = ObjectSegment(
     "summer",
@@ -322,3 +326,36 @@ class TestComplex:
         assert system.cpu_complex(n_cpus=1).n_cpus == 1
         with pytest.raises(ValueError):
             SystemConfig(n_processors=0).validate()
+
+
+class TestCpuLossInsideAGate:
+    def test_displaced_job_restarts_from_the_callers_ring(self):
+        """Losing the CPU of a job parked inside a ring-0 gate gives the
+        job its ring back: the restart's entry call is an in-ring call
+        from ring 4, and the run ends in ring 4."""
+        ctx = Ctx(ring=4)
+        ctx.add_code(1, [I(Op.CALL, 2, 0, 0), I(Op.RET)])
+        # Count slot 0 down from 600, then return 7: many quanta long.
+        ctx.add_code(2, [
+            I(Op.PUSHI, 600), I(Op.STOREF, 0),
+            I(Op.LOADF, 0), I(Op.JZ, 9),
+            I(Op.LOADF, 0), I(Op.PUSHI, 1), I(Op.SUB), I(Op.STOREF, 0),
+            I(Op.JMP, 2),
+            I(Op.PUSHI, 7), I(Op.RET),
+        ], brackets=kernel_gate_brackets(), gates=frozenset({0}))
+        system = smp_system(n_processors=2)
+        cx = system.cpu_complex(n_cpus=2)
+        job = CpuJob(ctx, 1)
+
+        def lose_inside_the_gate(complex_):
+            if complex_.online(0) and job.cpu_id == 0 and ctx.ring == 0:
+                complex_.lose_cpu(0)
+
+        cx.run_jobs([job], on_round=lose_inside_the_gate)
+        assert cx.jobs_requeued == 1
+        assert job.result == 7 and job.cpu_id == 1
+        assert ctx.ring == 4
+        # Two entries from ring 4 (in-ring), two gate calls (crossings).
+        assert sum(c.calls_in_ring for c in cx.cpus) == 2
+        assert sum(c.calls_cross_ring for c in cx.cpus) == 2
+        system.shutdown()

@@ -11,13 +11,18 @@ counter, every core word and every PTW bit:
 * the four workload profiles, with the instruction budget swept across
   their first loop iterations, so ``ExecutionLimit`` lands inside
   blocks;
-* the same profiles under seeded random targets, recording and then
-  clearing the PTW used/modified bits at every yield as a replacement
-  sweep does, with a tiny FIFO pager evicting under the blocks;
+* the same profiles under seeded random targets, both a few cycles and
+  a quantum apart, recording and then clearing the PTW used/modified
+  bits at every yield as a replacement sweep does, with a tiny FIFO
+  pager evicting under the blocks;
 * a parity error injected on the k-th core read, which lands inside a
   block partway through it;
 * the profiles under a cost model whose prices all differ, where the
   AM-hit split must also equal hits × ``am_hit``.
+
+Beside them, structure tests pin what the oracles must reach: each
+profile's loop compiles to one loop block, and a run enters blocks a
+fixed handful of times however many iterations it makes.
 
 The random-program version of the first oracle is in
 ``tests/test_properties.py``.
@@ -25,6 +30,8 @@ The random-program version of the first oracle is in
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import functools
 import itertools
 import random
@@ -35,6 +42,7 @@ import pytest
 from repro.config import CostModel, RingMode
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, FaultSpec
+from repro.hw import cpu as cpu_module
 from repro.hw.assoc import AssociativeMemory
 from repro.hw.cpu import CPU, CodeSegment, ExecutionLimit
 from repro.hw.memory import MemoryLevel
@@ -72,23 +80,33 @@ class Pager:
         self.cpu.stall(7)
 
 
-@functools.cache
-def profile_code(name: str) -> CodeSegment:
-    """One shared image per profile, as the workload driver shares one
-    per program (its blocks compile once)."""
-    obj = build_program(PROFILES[name], 2, PAGE)
+def profile_program(name: str, iters: int | None = None) -> CodeSegment:
+    """A fresh image of a profile's program, ``iters`` loop iterations
+    long (the profile's own count by default)."""
+    profile = PROFILES[name]
+    if iters is not None:
+        profile = dataclasses.replace(profile, iters=iters)
+    obj = build_program(profile, 2, PAGE)
     return CodeSegment(obj.code, dict(obj.definitions))
+
+
+#: One shared image per profile, as the workload driver shares one per
+#: program (its blocks compile once).
+profile_code = functools.cache(profile_program)
 
 
 def profile_world(name: str, private_am: bool = False,
                   parity_at: int | None = None,
-                  costs: CostModel | None = None) -> tuple[CPU, Ctx]:
-    """One workload profile's program over its data segment, whose
-    page 0 starts resident and filled."""
+                  costs: CostModel | None = None,
+                  code: CodeSegment | None = None,
+                  frames: int = DATA_FRAMES) -> tuple[CPU, Ctx]:
+    """One workload profile's program (``code``, or the shared image)
+    over its data segment, whose page 0 starts resident and filled, in
+    a core of ``frames`` frames."""
     profile = PROFILES[name]
     ctx = Ctx()
     ctx.add_code(1, [])
-    ctx.codes[1] = profile_code(name)
+    ctx.codes[1] = code or profile_code(name)
     ptws = ctx.add_data(2, n_pages=profile.data_pages, in_core=False)
     injector = None
     if parity_at is not None:
@@ -98,7 +116,7 @@ def profile_world(name: str, private_am: bool = False,
         ))
     pager = Pager()
     cpu = CPU(
-        MemoryLevel("core", DATA_FRAMES, 1, PAGE, injector=injector),
+        MemoryLevel("core", frames, 1, PAGE, injector=injector),
         costs or CostModel(), RingMode.HARDWARE_6180, PAGE,
         on_missing_page=pager,
         private_am=AssociativeMemory() if private_am else None,
@@ -189,7 +207,67 @@ def one_cycle(cpu: CPU, ctx, **kwargs) -> tuple:
     return run_stepped(cpu, ctx, itertools.repeat(1), True, **kwargs)
 
 
+@contextlib.contextmanager
+def block_calls(code: CodeSegment):
+    """Record ``(block, instructions run)`` for every call of a block
+    compiled from ``code`` inside the ``with``, by wrapping the ``run``
+    of each such block ``_compile_block`` returns.  Give the runs a
+    fresh image, whose blocks all compile inside; and the wrapper hides
+    the block's frame from ``_Block.charged``, so no run may raise
+    inside a block."""
+    calls: list = []
+    compile_block = cpu_module._compile_block
+
+    def compile_counted(decoded, *args):
+        blk = compile_block(decoded, *args)
+        if blk is not None and decoded is code._decoded:
+            run = blk.run
+
+            def counted(*run_args):
+                out = run(*run_args)
+                calls.append((blk, out[1]))
+                return out
+
+            blk.run = counted
+        return blk
+
+    cpu_module._compile_block = compile_counted
+    try:
+        yield calls
+    finally:
+        cpu_module._compile_block = compile_block
+
+
 PROFILE_NAMES = sorted(PROFILES)
+
+#: Instructions in one pass of each profile's loop.
+LOOP_PASS = {"shell": 18, "paging": 18, "io": 22, "compile": 30}
+
+
+class TestLoopBlocks:
+    @pytest.mark.parametrize("name", PROFILE_NAMES)
+    def test_the_loop_head_compiles_to_a_loop_block(self, name):
+        code = profile_program(name)
+        blk = cpu_module._compile_block(cpu_module._decoded_for(code), 4,
+                                        PAGE, 1)
+        assert blk.loop
+        assert blk.n == LOOP_PASS[name]
+        assert blk.depth == 0
+        assert blk.refs == blk.tail_refs == 1 + PROFILES[name].stores
+
+    @pytest.mark.parametrize("name", PROFILE_NAMES)
+    def test_block_entries_do_not_grow_with_iterations(self, name):
+        # Enough frames that no page is evicted: only first touches
+        # miss the AM, so only they break a loop block's run.
+        entries = {}
+        for iters in (40, 80):
+            code = profile_program(name, iters)
+            with block_calls(code) as calls:
+                cpu, ctx = profile_world(name, code=code, frames=16)
+                cpu.execute(ctx, 1, 0)
+            entries[iters] = len(calls)
+        assert entries[40] == entries[80]
+        assert entries[40] <= 2 + 3 * PROFILES[name].data_pages
 
 
 class TestBudgetSweep:
@@ -211,30 +289,57 @@ class TestBudgetSweep:
 
 
 class TestRandomTargets:
+    @staticmethod
+    def yields_match(name: str, private_am: bool, span: tuple,
+                     iters: int | None = None) -> list:
+        """Drive the profile to seeded targets ``span`` cycles apart,
+        with blocks and one cycle at a time, and require the same
+        records at every yield; returns the block runs' calls."""
+        code = profile_program(name, iters)  # the block runs' image
+        with block_calls(code) as calls:
+            for seed in range(3):
+                runs = []
+                for single in (False, True):
+                    cpu, ctx = profile_world(
+                        name, private_am=private_am,
+                        code=profile_code(name, iters) if single else code)
+                    records = []
+
+                    def on_yield(cpu=cpu, ctx=ctx, records=records):
+                        # What a replacement sweep samples, then resets.
+                        records.append((cpu.cycles, cpu.stall_cycles,
+                                        cpu.instructions_executed,
+                                        ptw_bits(ctx)))
+                        clear_ptw_bits(ctx)
+
+                    rng = random.Random(f"{name}|{seed}")
+                    deltas = iter(lambda: rng.randint(*span), None)
+                    result = run_stepped(cpu, ctx, deltas, single,
+                                         on_yield=on_yield)
+                    runs.append((result, records, fingerprint(cpu, ctx)))
+                assert runs[0][0][0] == "ok"
+                assert len(runs[0][1]) > 20
+                assert runs[0] == runs[1], (name, seed)
+        return calls
+
     @pytest.mark.parametrize("private_am", [False, True],
                              ids=["process_am", "cpu_am"])
     @pytest.mark.parametrize("name", PROFILE_NAMES)
     def test_yields_match_one_cycle_stepping(self, name, private_am):
-        for seed in range(3):
-            runs = []
-            for single in (False, True):
-                cpu, ctx = profile_world(name, private_am=private_am)
-                records = []
+        self.yields_match(name, private_am, (1, 60))
 
-                def on_yield(cpu=cpu, ctx=ctx, records=records):
-                    # What a replacement sweep samples, then resets.
-                    records.append((cpu.cycles, cpu.stall_cycles,
-                                    cpu.instructions_executed, ptw_bits(ctx)))
-                    clear_ptw_bits(ctx)
-
-                rng = random.Random(f"{name}|{seed}")
-                deltas = iter(lambda: rng.randint(1, 60), None)
-                result = run_stepped(cpu, ctx, deltas, single,
-                                     on_yield=on_yield)
-                runs.append((result, records, fingerprint(cpu, ctx)))
-            assert runs[0][0][0] == "ok"
-            assert len(runs[0][1]) > 20
-            assert runs[0] == runs[1], (name, seed)
+    @pytest.mark.parametrize("private_am", [False, True],
+                             ids=["process_am", "cpu_am"])
+    @pytest.mark.parametrize("name", PROFILE_NAMES)
+    def test_quantum_yields_match_one_cycle_stepping(self, name,
+                                                     private_am):
+        # A quantum apart, a loop block runs many passes between
+        # yields, so its own fit tests decide where the run stops; the
+        # longer program keeps the yields many.
+        calls = self.yields_match(name, private_am, (200, 2000), iters=800)
+        if PROFILES[name].data_pages < DATA_FRAMES:
+            # The working set stays in core, so loops run on unbroken.
+            assert max(k // blk.n for blk, k in calls) >= 10
 
 
 class TestParityInsideBlocks:
