@@ -59,13 +59,17 @@ class Acl:
     def effective_mode(self, principal: Principal) -> AccessMode:
         """Mode granted to ``principal``: most specific match wins,
         no match means no access."""
-        best: AclEntry | None = None
+        person, project = principal.person, principal.project
+        tag = principal.tag
+        mode, best = AccessMode.NONE, -1
         for entry in self._entries:
-            if not entry.pattern.matches(principal):
-                continue
-            if best is None or entry.pattern.specificity > best.pattern.specificity:
-                best = entry
-        return best.mode if best else AccessMode.NONE
+            pattern = entry.pattern
+            if (pattern.specificity > best
+                    and pattern.person in ("*", person)
+                    and pattern.project in ("*", project)
+                    and pattern.tag in ("*", tag)):
+                mode, best = entry.mode, pattern.specificity
+        return mode
 
     def entries(self) -> list[AclEntry]:
         return list(self._entries)

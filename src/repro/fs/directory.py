@@ -53,6 +53,11 @@ def split_path(path: str) -> list[str]:
     return parts
 
 
+#: A new branch's ring brackets: the user ring reads, writes and
+#: executes it.
+_DEFAULT_BRACKETS = RingBrackets(4, 4, 4)
+
+
 @dataclass
 class Branch:
     """One directory entry."""
@@ -61,7 +66,8 @@ class Branch:
     uid: int
     is_directory: bool
     acl: Acl = field(default_factory=Acl)
-    brackets: RingBrackets = field(default_factory=lambda: RingBrackets(4, 4, 4))
+    #: Frozen, so every branch created with the default shares one.
+    brackets: RingBrackets = _DEFAULT_BRACKETS
     label: SecurityLabel = field(default=BOTTOM)
     author: str = ""
     #: Additional names (Multics "added names").
@@ -112,7 +118,8 @@ class Directory:
     # -- mutation ------------------------------------------------------------
 
     def add(self, branch: Branch) -> None:
-        for name in branch.all_names():
+        names = branch.all_names()
+        for name in names:
             validate_name(name)
             if name in self._by_name:
                 raise NameDuplication(
@@ -123,7 +130,7 @@ class Directory:
                 f"branch label {branch.label} does not dominate "
                 f"directory label {self.label} (MAC non-decrease)"
             )
-        for name in branch.all_names():
+        for name in names:
             self._by_name[name] = branch
         self._branches.append(branch)
         self.used_pages_cache = None

@@ -333,10 +333,11 @@ class CamBroadcast:
     __slots__ = ("_by_uid",)
 
     def __init__(self) -> None:
-        #: uid -> the joined AMs caching at least one entry for it
-        #: (WeakSets: an AM dies with its descriptor segment or CPU and
-        #: drops out of the broadcast by itself).
-        self._by_uid: dict[int, weakref.WeakSet[AssociativeMemory]] = {}
+        #: uid -> {id(am): weak reference to am} for the joined AMs
+        #: caching at least one entry for it.  An AM dies with its
+        #: descriptor segment or CPU without discarding itself;
+        #: :meth:`cam_uid` prunes the dead references it meets.
+        self._by_uid: dict[int, dict[int, weakref.ref]] = {}
 
     def join(self, am: AssociativeMemory) -> None:
         """Make ``am`` listen to this broadcast, for the objects it
@@ -348,13 +349,14 @@ class CamBroadcast:
     def add(self, uid: int, am: AssociativeMemory) -> None:
         index = self._by_uid.get(uid)
         if index is None:
-            index = self._by_uid[uid] = weakref.WeakSet()
-        index.add(am)
+            self._by_uid[uid] = {id(am): weakref.ref(am)}
+        else:
+            index[id(am)] = weakref.ref(am)
 
     def discard(self, uid: int, am: AssociativeMemory) -> None:
         index = self._by_uid.get(uid)
         if index is not None:
-            index.discard(am)
+            index.pop(id(am), None)
             if not index:
                 del self._by_uid[uid]
 
@@ -364,8 +366,17 @@ class CamBroadcast:
         if uid is None:
             return 0
         index = self._by_uid.get(uid)
-        if not index:
-            if index is not None:
-                del self._by_uid[uid]  # every joined AM died; drop the husk
+        if index is None:
             return 0
-        return sum(am.invalidate_uid(uid, pageno) for am in list(index))
+        dropped = 0
+        # A copy: an AM that drops its last entry for the uid discards
+        # itself from ``index`` while we walk it.
+        for key, ref in list(index.items()):
+            am = ref()
+            if am is None:
+                del index[key]  # died without discarding itself
+            else:
+                dropped += am.invalidate_uid(uid, pageno)
+        if not index:
+            self._by_uid.pop(uid, None)
+        return dropped

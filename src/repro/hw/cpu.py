@@ -216,10 +216,10 @@ class _Block:
     instruction and of an AM-served reference.  It returns ``(pc, k,
     m)``: the next pc (>= 0) after a branch or the last instruction,
     or ``~pc`` of the instruction it stopped before (an AM miss, a
-    failed witness, a negative offset, a zero divisor), which the
-    single-step path then runs; and the ``k`` instructions and ``m``
-    references it ran, which the caller charges exactly as
-    single-stepping them would have.
+    failed witness, an offset that is negative or no int, a zero
+    divisor), which the single-step path then runs; and the ``k``
+    instructions and ``m`` references it ran, which the caller charges
+    exactly as single-stepping them would have.
 
     A *loop* block ends with a ``JMP`` back to its own start and runs
     pass after pass.  The caller fits the first pass; before each later
@@ -396,8 +396,14 @@ def _compile_block(decoded: list, start: int, page_size: int,
                 off = _lit(b)
                 emit(f"e = entries.get(({a}, {pg}, ring, {intent}))")
             else:
-                off, word = val(sym.pop()), "w"
-                emit(f"if {off} < 0: {stop}")
+                x = sym.pop()
+                off, word = val(x), "w"
+                if type(x) is int:
+                    emit(f"if {off} < 0: {stop}")
+                else:
+                    # A value made at run time may be no int at all
+                    # (1.5 keys page 0's entry); translate refuses it.
+                    emit(f"if type({off}) is not int or {off} < 0: {stop}")
                 emit(f"p = {off} // {page_size}")
                 emit(f"w = {off} - p * {page_size}")
                 emit(f"e = entries.get(({a}, p, ring, {intent}))")

@@ -297,10 +297,15 @@ def translate(
     the cached SDW bound (see :mod:`repro.hw.assoc` for the
     invalidation contract that keeps the cache honest).
     """
-    if offset < 0:
+    if not isinstance(offset, int) or offset < 0:
         # Reject before the AM is even probed: a negative offset maps
-        # to pageno -1, and no cached entry may ever witness it.
+        # to pageno -1, and a non-integer one (1.5) to a key equal to
+        # page 0's; no cached entry may ever witness either.
         sdw = dseg.get(segno)
+        if not isinstance(offset, int):
+            raise BoundsViolation(
+                f"offset {offset!r} of segment {segno} is not an integer"
+            )
         raise BoundsViolation(
             f"offset {offset} outside bound {sdw.bound} of segment {segno}"
         )

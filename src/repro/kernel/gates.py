@@ -50,8 +50,9 @@ def _v_int(value: object) -> None:
 
 
 def _v_uint(value: object) -> None:
-    _v_int(value)
-    if value < 0:  # type: ignore[operator]
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InvalidArgument(f"expected an integer, got {value!r}")
+    if value < 0:
         raise InvalidArgument(f"expected a non-negative integer, got {value!r}")
 
 
@@ -61,8 +62,9 @@ def _v_str(value: object) -> None:
 
 
 def _v_name(value: object) -> None:
-    _v_str(value)
-    validate_name(value)  # type: ignore[arg-type]
+    if not isinstance(value, str):
+        raise InvalidArgument(f"expected a string, got {value!r}")
+    validate_name(value)
 
 
 def _v_path(value: object) -> None:
@@ -129,7 +131,12 @@ PRIVILEGED_GATE = RingBrackets(0, 0, 1)
 
 @dataclass(frozen=True)
 class Gate:
-    """One protected entry point."""
+    """One protected entry point.
+
+    What the choke point needs of the gate on every call and that no
+    call can change is resolved once, at construction: the validator
+    of each argument, and the ring a call from each ring runs in.
+    """
 
     name: str
     category: str
@@ -140,6 +147,21 @@ class Gate:
     #: minimized kernel): "linker", "naming", "device_io", "login".
     removed_by: str | None = None
     doc: str = ""
+    #: ``signature``'s validators, in order (None for a spec that names
+    #: none; :meth:`GateTable.register` refuses such a gate).
+    validators: tuple = field(init=False, compare=False, repr=False)
+    #: Caller ring -> the ring the handler runs in, for each ring 0..r3
+    #: (``target_ring`` refuses only rings above the call bracket).
+    targets: dict[int, int] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "validators", tuple(
+            VALIDATORS.get(spec) for spec in self.signature
+        ))
+        object.__setattr__(self, "targets", {
+            ring: self.brackets.target_ring(ring)
+            for ring in range(self.brackets.r3 + 1)
+        })
 
     def user_available(self) -> bool:
         """Callable from an ordinary user ring?"""
@@ -243,33 +265,31 @@ class GateTable:
 
     def _call(self, process: "Process", name: str, *args: object) -> object:
         self.calls += 1
-        clock = self.services.sim.clock
+        gate = self._gates.get(name) or self.gate(name)
+        services = self.services
+        clock = services.sim.clock
         meters = self.meters
-        gate = self.gate(name)
+        log = self.audit.log
+        subject = str(process.principal) if process.principal else process.name
 
         # 1. Ring check + cross-ring cost.
         caller_ring = process.ring
-        try:
-            new_ring = gate.brackets.target_ring(caller_ring)
-        except AccessViolation:
-            self.rejections += 1
-            meters.note_gate_denied(process, name)
-            self.audit.log(
-                clock.now, self._subject(process), name, "call",
-                "denied", f"ring {caller_ring} outside bracket",
-                ring=caller_ring, category="ring",
-            )
-            raise
-        cost = call_cost(
-            self.services.config.costs,
-            self.services.config.ring_mode,
-            caller_ring,
-            new_ring,
-        )
+        new_ring = gate.targets.get(caller_ring)
+        if new_ring is None:
+            try:
+                new_ring = gate.brackets.target_ring(caller_ring)
+            except AccessViolation:
+                self.rejections += 1
+                meters.note_gate_denied(process, name)
+                log(clock.now, subject, name, "call", "denied",
+                    f"ring {caller_ring} outside bracket", caller_ring,
+                    "ring")
+                raise
+        cost = call_cost(services.config.costs, services.config.ring_mode,
+                         caller_ring, new_ring)
         process.cpu_cycles += cost
-        self.services.gate_cycles += cost
-        meters.note_gate(process, name, cost,
-                         crossed=new_ring != caller_ring)
+        services.gate_cycles += cost
+        meters.note_gate(process, name, cost, new_ring != caller_ring)
         if self.tracer.enabled and new_ring != caller_ring:
             self.tracer.point(
                 "ring_crossing", origin="gate", gate=name,
@@ -277,70 +297,45 @@ class GateTable:
             )
 
         # 2. Argument validation before anything else runs.
-        if len(args) != len(gate.signature):
+        validators = gate.validators
+        if len(args) != len(validators):
             self.rejections += 1
             meters.note_gate_denied(process, name)
-            self.audit.log(
-                clock.now, self._subject(process), name, "call",
-                "denied", f"expected {len(gate.signature)} args, got {len(args)}",
-                ring=caller_ring, category="args",
-            )
+            log(clock.now, subject, name, "call", "denied",
+                f"expected {len(validators)} args, got {len(args)}",
+                caller_ring, "args")
             raise InvalidArgument(
-                f"{name}: expected {len(gate.signature)} arguments, "
+                f"{name}: expected {len(validators)} arguments, "
                 f"got {len(args)}"
             )
-        for spec, value in zip(gate.signature, args):
+        for validate, value in zip(validators, args):
             try:
-                VALIDATORS[spec](value)
+                validate(value)
             except InvalidArgument as exc:
                 self.rejections += 1
                 meters.note_gate_denied(process, name)
-                self.audit.log(
-                    clock.now, self._subject(process), name, "call",
-                    "denied", str(exc),
-                    ring=caller_ring, category="args",
-                )
+                log(clock.now, subject, name, "call", "denied", str(exc),
+                    caller_ring, "args")
                 raise
 
         # 3. Dispatch, in the gate's target ring.
-        old_ring = process.ring
         process.ring = new_ring
         try:
-            result = gate.handler(self.services, process, *args)
-        except KernelDenial as denial:
+            result = gate.handler(services, process, *args)
+        except (KernelDenial, AccessViolation) as denial:
             meters.note_gate_denied(process, name)
-            self.audit.log(
-                clock.now, self._subject(process), name, "call",
-                "denied", str(denial),
-                ring=caller_ring, category="gate",
-            )
-            raise
-        except AccessViolation as violation:
-            meters.note_gate_denied(process, name)
-            self.audit.log(
-                clock.now, self._subject(process), name, "call",
-                "denied", str(violation),
-                ring=caller_ring, category="gate",
-            )
+            log(clock.now, subject, name, "call", "denied", str(denial),
+                caller_ring, "gate")
             raise
         except Exception as crash:
             # A handler malfunction in ring 0: a supervisor incident
             # (the legacy linker's disease — see experiment E11).
-            self.services.supervisor_incidents += 1
-            self.audit.log(
-                clock.now, self._subject(process), name, "call",
-                "error", f"{type(crash).__name__}: {crash}",
-                ring=caller_ring, category="gate",
-            )
+            services.supervisor_incidents += 1
+            log(clock.now, subject, name, "call", "error",
+                f"{type(crash).__name__}: {crash}", caller_ring, "gate")
             raise
         finally:
-            process.ring = old_ring
-        self.audit.log(
-            clock.now, self._subject(process), name, "call", "granted",
-            ring=caller_ring, category="gate",
-        )
+            process.ring = caller_ring
+        log(clock.now, subject, name, "call", "granted", "", caller_ring,
+            "gate")
         return result
-
-    @staticmethod
-    def _subject(process: "Process") -> str:
-        return str(process.principal) if process.principal else process.name

@@ -400,23 +400,6 @@ class KernelServices:
         )
         return value
 
-    def write_word(
-        self, process: "Process", segno: int, offset: int, value: int
-    ) -> None:
-        self._track(process)
-        am = process.dseg.am if self.config.am_enabled else None
-        while True:
-            try:
-                frame, woff = translate(
-                    process.dseg, segno, offset, process.ring,
-                    Intent.WRITE, self.config.page_size, am=am,
-                )
-                break
-            except MissingPageFault as fault:
-                uid = process.dseg.get(segno).uid
-                self.page_control.service_sync(self.ast.get(uid), fault.pageno)
-        self.hierarchy.core.write(frame, woff, value)
-
     def read_segment_words(
         self, process: "Process", segno: int, count: int | None = None
     ) -> list[int]:
@@ -427,8 +410,21 @@ class KernelServices:
     def write_segment_words(
         self, process: "Process", segno: int, words: list[int], offset: int = 0
     ) -> None:
-        for i, word in enumerate(words):
-            self.write_word(process, segno, offset + i, word)
+        self._track(process)
+        dseg, ring, page_size = process.dseg, process.ring, self.config.page_size
+        am = dseg.am if self.config.am_enabled else None
+        core_write = self.hierarchy.core.write
+        for off, word in enumerate(words, start=offset):
+            while True:
+                try:
+                    frame, woff = translate(dseg, segno, off, ring,
+                                            Intent.WRITE, page_size, am=am)
+                    break
+                except MissingPageFault as fault:
+                    uid = dseg.get(segno).uid
+                    self.page_control.service_sync(self.ast.get(uid),
+                                                   fault.pageno)
+            core_write(frame, woff, word)
 
     # -- shared lookup helpers (used by many gate handlers) -------------------
 
@@ -438,7 +434,7 @@ class KernelServices:
         The caller must already have the directory initiated; the kernel
         trusts only its own KST, never a user-supplied UID.
         """
-        state = self.pstate(process)
+        state = self._pstate.get(process.pid) or self.pstate(process)
         uid = state.kst.uid_of(dir_segno)
         return self.tree.directory(uid)
 

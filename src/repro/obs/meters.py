@@ -186,8 +186,12 @@ class Meters:
         """One gate entry: charge its cost to both meters."""
         if not self.enabled:
             return
-        self.track(process)
-        bucket, total = self._buckets[process.pid], self._total
+        pid = process.pid
+        bucket = self._buckets.get(pid)
+        if bucket is None or pid not in self._live:
+            self.track(process)
+            bucket = self._buckets[pid]
+        total = self._total
         bucket.gate_entries += 1
         total.gate_entries += 1
         bucket.gate_cycles += cycles

@@ -28,9 +28,12 @@ class Principal:
                     f"invalid principal component {part!r} "
                     "(no dots, stars, or empty parts)"
                 )
+        # Every audit record names its principal: build the text once.
+        object.__setattr__(self, "_text",
+                           f"{self.person}.{self.project}.{self.tag}")
 
     def __str__(self) -> str:
-        return f"{self.person}.{self.project}.{self.tag}"
+        return self._text
 
     @classmethod
     def parse(cls, text: str, clearance: SecurityLabel = BOTTOM) -> "Principal":
@@ -48,11 +51,22 @@ KERNEL_PRINCIPAL = Principal("Initializer", "SysDaemon", "z")
 
 @dataclass(frozen=True)
 class PrincipalPattern:
-    """An ACL matcher: any component may be ``*``."""
+    """An ACL matcher: any component may be ``*``.
+
+    ``specificity`` ranks matching patterns: exact components beat
+    wildcards, and person outranks project outranks tag (Multics's
+    most-specific-match rule).  It is fixed at construction.
+    """
 
     person: str = "*"
     project: str = "*"
     tag: str = "*"
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "specificity",
+                           4 * (self.person != "*")
+                           + 2 * (self.project != "*")
+                           + (self.tag != "*"))
 
     @classmethod
     def parse(cls, text: str) -> "PrincipalPattern":
@@ -71,19 +85,6 @@ class PrincipalPattern:
             and self.project in ("*", principal.project)
             and self.tag in ("*", principal.tag)
         )
-
-    @property
-    def specificity(self) -> int:
-        """Exact components beat wildcards; person outranks project
-        outranks tag (Multics's most-specific-match rule)."""
-        score = 0
-        if self.person != "*":
-            score += 4
-        if self.project != "*":
-            score += 2
-        if self.tag != "*":
-            score += 1
-        return score
 
     def __str__(self) -> str:
         return f"{self.person}.{self.project}.{self.tag}"

@@ -35,6 +35,11 @@ if TYPE_CHECKING:  # pragma: no cover - avoids a cycle with repro.fs
     from repro.fs.directory import Branch
 
 
+#: What simple security and the *-property strip from a mode.
+_NOT_READ = ~(AccessMode.R | AccessMode.E)
+_NOT_WRITE = ~AccessMode.W
+
+
 class ReferenceMonitor:
     """Combines ACL and MAC checks; logs every decision."""
 
@@ -51,10 +56,11 @@ class ReferenceMonitor:
     def permitted_modes(self, principal: Principal, branch: "Branch") -> AccessMode:
         """The largest mode ``principal`` may hold on ``branch``."""
         mode = branch.acl.effective_mode(principal)
-        if not may_read(principal.clearance, branch.label):
-            mode &= ~(AccessMode.R | AccessMode.E)
-        if not may_write(principal.clearance, branch.label):
-            mode &= ~AccessMode.W
+        clearance, label = principal.clearance, branch.label
+        if not clearance.dominates(label):  # may_read: simple security
+            mode &= _NOT_READ
+        if not label.dominates(clearance):  # may_write: *-property
+            mode &= _NOT_WRITE
         return mode
 
     def sdw_mode(self, principal: Principal, branch: "Branch") -> AccessMode:
@@ -93,10 +99,8 @@ class ReferenceMonitor:
                 f"{principal} denied {requested.to_string()!r} on "
                 f"{branch.name!r}: {reason}"
             )
-        self.audit.log(
-            time, str(principal), branch.name, requested.to_string(),
-            "granted", ring=ring, category="acl",
-        )
+        self.audit.log(time, str(principal), branch.name,
+                       requested.to_string(), "granted", "", ring, "acl")
 
     def _explain(
         self, principal: Principal, branch: "Branch", requested: AccessMode

@@ -42,8 +42,13 @@ class UserRingLinker:
     ) -> None:
         self._sup = supervisor
         self._process = process
-        self.refnames = refnames or ReferenceNameManager(supervisor, process)
-        self.search = search or UserSearchRules(supervisor, process)
+        # Explicit None checks: a manager holding no names yet is falsy
+        # (it has __len__), and ``refnames or ...`` would give the
+        # linker a second, private one the session never sees.
+        self.refnames = (refnames if refnames is not None
+                         else ReferenceNameManager(supervisor, process))
+        self.search = (search if search is not None
+                       else UserSearchRules(supervisor, process))
         self.snaps = 0
         self.parse_failures = 0
 

@@ -9,6 +9,8 @@ or process destruction — and the cache never changes architectural
 outcomes, only cost.
 """
 
+import gc
+
 import pytest
 
 from repro import MulticsSystem, kernel_config
@@ -166,6 +168,26 @@ class TestAssociativeMemoryUnit:
         # An AM that never joined hears nothing.
         assert outsider.am.probe(9, 0, 4, Intent.READ, 0) is not None
         assert broadcast.cam_uid(None) == 0
+
+    def test_an_am_dropped_without_discard_is_pruned_not_cammed(self):
+        broadcast = CamBroadcast()
+        live = make_dseg(uid=99, segno=5)
+        dead = make_dseg(uid=99, segno=8)
+        broadcast.join(live.am)
+        broadcast.join(dead.am)
+        for page in (0, 1):
+            translate(live, 5, page * PAGE, 4, Intent.READ, PAGE, am=live.am)
+        translate(dead, 8, 0, 4, Intent.READ, PAGE, am=dead.am)
+        # The descriptor segment goes away with its AM still listed for
+        # uid 99; keep only its entry table, to see whether it is cammed.
+        dead_entries = dead.am._entries
+        del dead
+        gc.collect()
+        assert len(broadcast._by_uid[99]) == 2
+        assert broadcast.cam_uid(99, pageno=0) == 1
+        assert len(dead_entries) == 1
+        assert [ref() for ref in broadcast._by_uid[99].values()] == [live.am]
+        assert live.am.probe(5, 1, 4, Intent.READ, PAGE) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +382,17 @@ class TestOffsetHandling:
             translate(dseg, 5, -7, 4, Intent.READ, PAGE, am=None)
         with pytest.raises(BoundsViolation):
             translate(dseg, 5, -7, 4, Intent.READ, PAGE, am=dseg.am)
+
+    @pytest.mark.parametrize("offset", [1.5, 0.0, "0"])
+    def test_non_integer_offset_never_probes_the_am(self, offset):
+        dseg = make_dseg()
+        am = dseg.am
+        translate(dseg, 5, 0, 4, Intent.READ, PAGE, am=am)  # prime page 0
+        hits, misses = am.hits, am.misses
+        # 0.0 keys page 0's entry (0.0 == 0); no entry may witness it.
+        with pytest.raises(BoundsViolation, match="is not an integer"):
+            translate(dseg, 5, offset, 4, Intent.READ, PAGE, am=am)
+        assert (am.hits, am.misses) == (hits, misses)
 
     def test_hit_and_walk_agree_on_word_offset(self):
         dseg = make_dseg(n_pages=2)

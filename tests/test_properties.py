@@ -418,6 +418,8 @@ def _program_world(program, private_am: bool = False):
 @given(_programs,
        st.lists(st.integers(min_value=-3, max_value=3), max_size=2))
 @example([Instruction(Op.LOAD, 1, 0)], [])  # a page past the table
+@example([Instruction(Op.PUSHI, 1.5), Instruction(Op.LOADI, 2),
+          Instruction(Op.RET)], [])  # no integer offset
 def test_random_program_returns_or_raises_a_repro_error(program, args):
     """Whatever a program does — underflow the operand stack, call or
     load through any segment number, jump anywhere, loop — the CPU
@@ -453,6 +455,10 @@ def _blocks_match(program, args, budget, private_am):
           Instruction(Op.STOREI, 2), Instruction(Op.LOAD, 2, 3),
           Instruction(Op.RET)], [1.5], 64, False)
 @example([Instruction(Op.LOAD, 1, 0), Instruction(Op.RET)], [], 64, True)
+# An offset made inside a block that is no int, on a page the AM holds.
+@example([Instruction(Op.LOAD, 2, 0), Instruction(Op.POP),
+          Instruction(Op.LOADF, 0), Instruction(Op.LOADI, 2),
+          Instruction(Op.RET)], [1.5], 64, False)
 def test_blocks_match_one_cycle_stepping(program, args, budget,
                                          private_am):
     """Differential oracle for the interpreter's superblocks:

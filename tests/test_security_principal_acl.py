@@ -1,6 +1,8 @@
 """Tests for principals, ACL patterns, and ACL evaluation."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.fs.acl import Acl, AclEntry
 from repro.hw.segmentation import AccessMode
@@ -113,3 +115,60 @@ class TestAcl:
     def test_entry_str(self):
         entry = AclEntry.make("Alice.Crypto", "re")
         assert "re" in str(entry)
+
+
+# ---------------------------------------------------------------------------
+# effective_mode against the loop it replaced
+# ---------------------------------------------------------------------------
+
+def _old_specificity(pattern: PrincipalPattern) -> int:
+    score = 0
+    if pattern.person != "*":
+        score += 4
+    if pattern.project != "*":
+        score += 2
+    if pattern.tag != "*":
+        score += 1
+    return score
+
+
+def _old_effective_mode(entries: list, principal: Principal) -> AccessMode:
+    """``Acl.effective_mode`` as it was first written: ``matches`` per
+    entry, the specificity recomputed per comparison."""
+    best = None
+    for entry in entries:
+        if not entry.pattern.matches(principal):
+            continue
+        if best is None or (_old_specificity(entry.pattern)
+                            > _old_specificity(best.pattern)):
+            best = entry
+    return best.mode if best else AccessMode.NONE
+
+
+# Two names per component, so entries match, miss and tie often.
+_PERSONS, _PROJECTS, _TAGS = ["Ann", "Bo"], ["P", "Q"], ["a", "b"]
+_principals = st.builds(Principal, st.sampled_from(_PERSONS),
+                        st.sampled_from(_PROJECTS), st.sampled_from(_TAGS))
+_patterns = st.builds(PrincipalPattern,
+                      st.sampled_from(["*"] + _PERSONS),
+                      st.sampled_from(["*"] + _PROJECTS),
+                      st.sampled_from(["*"] + _TAGS))
+_entries = st.lists(
+    st.builds(AclEntry, _patterns,
+              st.integers(min_value=0, max_value=7).map(AccessMode)),
+    max_size=8,
+)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(_entries, _principals)
+# Equal specificity: the first of two matching entries wins.
+@example([AclEntry.make("Ann.*", "r"), AclEntry.make("Ann.*.*", "rw")],
+         Principal("Ann", "P"))
+@example([AclEntry.make("*.P.a", "n"), AclEntry.make("Ann", "re"),
+          AclEntry.make("Ann.P.*", "w")], Principal("Ann", "P"))
+def test_effective_mode_matches_the_old_loop(entries, principal):
+    for entry in entries:
+        assert entry.pattern.specificity == _old_specificity(entry.pattern)
+    assert (Acl(entries).effective_mode(principal)
+            is _old_effective_mode(entries, principal))

@@ -10,7 +10,7 @@ page-fault traffic against shared page control.
 import pytest
 
 from repro import MulticsSystem
-from repro.errors import BoundsViolation, IllegalInstruction
+from repro.errors import BoundsViolation, IllegalInstruction, ReproError
 from repro.faults.harness import harness_config
 from repro.hw.cpu import Instruction as I, Op
 from repro.hw.rings import kernel_gate_brackets
@@ -243,6 +243,28 @@ class TestComplex:
         assert not cx.busy
         with pytest.raises(IllegalInstruction, match="underflow"):
             session.run_program(segno)
+
+    def test_non_integer_offset_is_contained(self):
+        """An indexed load at offset 1.5 is a hardware fault, not a
+        host ``TypeError``: the job dies with it, and the jobs beside
+        it still complete."""
+        system = smp_system()
+        jobs, _ = make_jobs(system, n_jobs=2)
+        session = system.login("Alice", "Crypto", "alice-pw")
+        data = session.create_segment("halves", n_pages=2)
+        bad = ObjectSegment(
+            "half",
+            code=[I(Op.PUSHI, 1.5), I(Op.LOADI, data), I(Op.RET)],
+            definitions={"main": 0},
+        )
+        bad_job = session.program_job(session.install_object("half", bad))
+        cx = system.cpu_complex(n_cpus=2)
+        cx.run_jobs([bad_job] + jobs)
+        assert isinstance(bad_job.error, ReproError)
+        assert bad_job.result is None
+        assert [j.result for j in jobs] == [96] * 2
+        assert cx.jobs_failed == 1
+        assert not cx.busy
 
     def test_private_am_cams_between_processes(self):
         """Connecting a CPU to a different descriptor segment cams its

@@ -166,6 +166,28 @@ class TestProgramExecution:
             session.call("hcs_$add_refname", lib_segno, "mathlib")
         assert session.run_program(main_segno) == 36
 
+    def test_linker_resolves_the_sessions_reference_names(self,
+                                                          kernel_system):
+        """The library is installed as ``mathlib_v2``, so no search
+        finds ``mathlib``: only the session's binding can resolve the
+        link, and the linker must read the session's own manager."""
+        session = kernel_system.login("Alice", "Crypto", "alice-pw")
+        assert session.linker.refnames is session.refnames
+        assert session.linker.search is session.search
+        lib = session.install_object("mathlib_v2", ObjectSegment(
+            "mathlib_v2",
+            code=[I(Op.LOADF, 0), I(Op.PUSHI, 2), I(Op.MUL), I(Op.RET)],
+            definitions={"double": 0},
+        ))
+        main = session.install_object("main", ObjectSegment(
+            "main",
+            code=[I(Op.PUSHI, 18), I(Op.CALLL, 0, 1), I(Op.RET)],
+            definitions={"main": 0},
+            links=["mathlib$double"],
+        ))
+        session.refnames.bind("mathlib", lib)
+        assert session.run_program(main) == 36
+
     def test_linking_resolves_through_search(self, any_system):
         """The fault-driven path: no pre-bound refname; the linker
         searches the working directory."""
