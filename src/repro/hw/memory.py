@@ -4,7 +4,10 @@ Multics moved pages among primary (core) memory, the bulk store (a fast
 drum used as a paging device), and disk.  Each :class:`MemoryLevel`
 manages a fixed population of page frames, whose words sit in one flat
 Python list of ints (frame ``i`` from word ``i * page_size``) standing in
-for 1024-word Multics pages: a level builds no object per frame.
+for 1024-word Multics pages: a level builds no object per frame.  The
+list covers only the frames up to the highest one handed out (or
+written through :meth:`MemoryLevel.raw_page`), so a level costs what a
+run touches, not what it is configured to hold.
 
 Security note: whether a frame is cleared when freed is configurable.
 Failing to clear frames is the classic "residue" flaw (reading another
@@ -55,8 +58,16 @@ class MemoryLevel:
         #: Parity hits at which a frame is retired when next freed
         #: (graceful degradation); None disables retirement.
         self.retire_threshold = retire_threshold
-        self._words = [0] * (n_frames * page_size)
-        self._free: list[int] = list(range(n_frames - 1, -1, -1))
+        #: Words of frames ``0 .. len(_words) // page_size - 1``; a frame
+        #: past the end has never been handed out or written, so it
+        #: holds zeros.
+        self._words: list[int] = []
+        #: Freed frames not retired, reused last-freed first.
+        self._free: list[int] = []
+        #: The lowest frame never handed out: frames come back from
+        #: ``_free`` first, then fresh in index order, the order a free
+        #: list of every frame, lowest on top, gave.
+        self._fresh = 0
         self._allocated: set[int] = set()
         #: Injected parity hits per frame (drives retirement).
         self.fault_counts: dict[int, int] = {}
@@ -70,7 +81,7 @@ class MemoryLevel:
 
     @property
     def free_count(self) -> int:
-        return len(self._free)
+        return len(self._free) + self.n_frames - self._fresh
 
     @property
     def used_count(self) -> int:
@@ -80,9 +91,15 @@ class MemoryLevel:
 
     def allocate(self) -> int:
         """Take a free frame; raises :class:`OutOfFrames` when exhausted."""
-        if not self._free:
-            raise OutOfFrames(f"{self.name}: no free frames")
-        idx = self._free.pop()
+        if self._free:
+            idx = self._free.pop()
+        else:
+            idx = self._fresh
+            if idx == self.n_frames:
+                raise OutOfFrames(f"{self.name}: no free frames")
+            self._fresh = idx + 1
+            if len(self._words) == idx * self.page_size:
+                self._words.extend([0] * self.page_size)
         self._allocated.add(idx)
         self.allocations += 1
         return idx
@@ -129,15 +146,25 @@ class MemoryLevel:
             self.fault_counts[idx] = self.fault_counts.get(idx, 0) + 1
             raise ParityError(self.name, idx, offset)
 
+    # ``read`` and ``write`` make their checks in their own frame: every
+    # core reference the interpreter makes lands here.
+
     def read(self, idx: int, offset: int) -> int:
         """Read one word from an allocated frame."""
-        self._check(idx, offset)
-        self._maybe_parity(idx, offset)
+        if idx not in self._allocated:
+            raise ValueError(f"{self.name}: frame {idx} is not allocated")
+        if not 0 <= offset < self.page_size:
+            raise ValueError(f"{self.name}: offset {offset} out of page")
+        if self.injector is not None:
+            self._maybe_parity(idx, offset)
         return self._words[idx * self.page_size + offset]
 
     def write(self, idx: int, offset: int, value: int) -> None:
         """Write one word into an allocated frame."""
-        self._check(idx, offset)
+        if idx not in self._allocated:
+            raise ValueError(f"{self.name}: frame {idx} is not allocated")
+        if not 0 <= offset < self.page_size:
+            raise ValueError(f"{self.name}: offset {offset} out of page")
         self._words[idx * self.page_size + offset] = value
 
     def read_page(self, idx: int) -> list[int]:
@@ -159,20 +186,25 @@ class MemoryLevel:
     def raw_page(self, idx: int, data: list[int] | None = None) -> list[int]:
         """Frame ``idx``'s words, replaced by ``data`` first if given.  No
         allocation check and no fault injection (no fault-plan count
-        moves): for the salvager's marker and last-resort copy, and tests."""
+        moves): for the salvager's marker and last-resort copy, and tests.
+
+        A frame past the end of the store reads as zeros without growing
+        it; writing one grows the store to cover it, so the words are
+        there when the frame is handed out."""
         if not 0 <= idx < self.n_frames:
             raise IndexError(f"{self.name}: no frame {idx}")
+        words = self._words
+        base = idx * self.page_size
+        end = base + self.page_size
         if data is not None:
             if len(data) != self.page_size:
                 raise ValueError("page data has the wrong length")
-            self._words[idx * self.page_size:(idx + 1) * self.page_size] = data
-        return self._words[idx * self.page_size:(idx + 1) * self.page_size]
-
-    def _check(self, idx: int, offset: int) -> None:
-        if idx not in self._allocated:
-            raise ValueError(f"{self.name}: frame {idx} is not allocated")
-        if not 0 <= offset < self.page_size:
-            raise ValueError(f"{self.name}: offset {offset} out of page")
+            if len(words) < end:
+                words.extend([0] * (end - len(words)))
+            words[base:end] = data
+        elif len(words) < end:
+            return [0] * self.page_size
+        return words[base:end]
 
 
 class MemoryHierarchy:

@@ -12,7 +12,7 @@ top of these services — the services themselves are common substrate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import TYPE_CHECKING
 
 from repro.config import SupervisorKind, SystemConfig
@@ -371,41 +371,45 @@ class KernelServices:
     # buffers *with the caller's access rights*, never its own.
 
     def read_word(self, process: "Process", segno: int, offset: int) -> int:
-        self._track(process)
-        am = process.dseg.am if self.config.am_enabled else None
-        while True:
-            try:
-                frame, woff = translate(
-                    process.dseg, segno, offset, process.ring,
-                    Intent.READ, self.config.page_size, am=am,
-                )
-                break
-            except MissingPageFault as fault:
-                uid = process.dseg.get(segno).uid
-                self.page_control.service_sync(self.ast.get(uid), fault.pageno)
-        return self._read_core_retrying(frame, woff)
+        return self.read_words(process, segno, 1, offset)[0]
 
-    def _read_core_retrying(self, frame: int, woff: int) -> int:
-        """One core read with bounded retry on injected parity errors.
+    def read_words(
+        self, process: "Process", segno: int, count: int, offset: int = 0
+    ) -> list[int]:
+        """``count`` words from ``offset``; an offset past the bound
+        raises the translation's :class:`BoundsViolation`.
 
-        Exhausting the retry budget surfaces :class:`DeviceError` —
+        Each word's core read retries injected parity errors within the
+        policy's budget; exhausting it surfaces :class:`DeviceError` —
         denial of use for the caller, never silent wrong data.
         """
-        value, _ = retry_call(
-            lambda: self.hierarchy.core.read(frame, woff),
-            self.retry_policy,
-            self.injector,
-            "kernel.read_word",
-            tracer=self.tracer,
-        )
-        return value
+        self._track(process)
+        dseg, ring, page_size = process.dseg, process.ring, self.config.page_size
+        am = dseg.am if self.config.am_enabled else None
+        core_read = self.hierarchy.core.read
+        words = []
+        for off in range(offset, offset + count):
+            while True:
+                try:
+                    frame, woff = translate(dseg, segno, off, ring,
+                                            Intent.READ, page_size, am=am)
+                    break
+                except MissingPageFault as fault:
+                    uid = dseg.get(segno).uid
+                    self.page_control.service_sync(self.ast.get(uid),
+                                                   fault.pageno)
+            value, _ = retry_call(partial(core_read, frame, woff),
+                                  self.retry_policy, self.injector,
+                                  "kernel.read_word", tracer=self.tracer)
+            words.append(value)
+        return words
 
     def read_segment_words(
         self, process: "Process", segno: int, count: int | None = None
     ) -> list[int]:
         sdw = process.dseg.get(segno)
         n = sdw.bound if count is None else min(count, sdw.bound)
-        return [self.read_word(process, segno, off) for off in range(n)]
+        return self.read_words(process, segno, n)
 
     def write_segment_words(
         self, process: "Process", segno: int, words: list[int], offset: int = 0

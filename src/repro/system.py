@@ -502,10 +502,9 @@ class Session:
         )
 
     def read_words(self, segno: int, count: int, offset: int = 0) -> list[int]:
-        return [
-            self.system.services.read_word(self.process, segno, offset + i)
-            for i in range(count)
-        ]
+        return self.system.services.read_words(
+            self.process, segno, count, offset
+        )
 
     # -- program execution on the simulated CPU ---------------------------------------------------
 

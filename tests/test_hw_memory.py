@@ -1,6 +1,8 @@
 """Tests for the physical memory hierarchy."""
 
 import gc
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import settings
@@ -12,11 +14,15 @@ from hypothesis.stateful import (
     rule,
 )
 
+from repro import MulticsSystem, kernel_config
 from repro.config import SystemConfig
 from repro.errors import ParityError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, FaultSpec
+from repro.hw import memory
 from repro.hw.memory import MemoryHierarchy, MemoryLevel, OutOfFrames
+
+from tests.test_superblocks import profile_world, run_free
 
 
 @pytest.fixture
@@ -263,7 +269,10 @@ class WordStoreMachine(RuleBasedStateMachine):
     """The flat word store against :class:`PerFrameLevel`: every
     operation returns (or raises) the same, and afterwards every
     counter and every word of every frame agree — so no operation
-    touches a neighbouring frame."""
+    touches a neighbouring frame.  The reference hands frames out from
+    an eager free list of every frame; the store, which holds only the
+    frames up to the highest one handed out or written, must hand out
+    the same ones and grow no further."""
 
     @initialize(sizes=st.tuples(*[st.integers(1, 6)] * 3),
                 page_size=st.integers(1, 8), clear=st.booleans(),
@@ -287,6 +296,8 @@ class WordStoreMachine(RuleBasedStateMachine):
                          for _ in range(2)]
         self.real = MemoryHierarchy(config, injector=injectors[0])
         self.ref = MemoryHierarchy(config, injector=injectors[1])
+        #: Per level, the highest frame handed out or raw-written.
+        self.highest = dict.fromkeys(LEVELS, -1)
         for name in LEVELS:
             level = self.real.level(name)
             setattr(self.ref, name, PerFrameLevel(
@@ -298,13 +309,16 @@ class WordStoreMachine(RuleBasedStateMachine):
                 for i in range(level.n_frames):
                     words = [1000 * i + k + 1 for k in range(page_size)]
                     self.both(lambda h: h.level(name).raw_page(i, words))
+                    self.touched(name, i)
             # Start with frames in use, so that most operations reach
             # an allocated frame rather than stopping at the check.
             for _ in range(min(held, level.n_frames)):
-                self.both(lambda h: h.level(name).allocate())
+                self.handed_out(name, self.both(
+                    lambda h: h.level(name).allocate()))
 
     def both(self, op):
-        """Apply ``op`` to each side; the outcomes must agree."""
+        """Apply ``op`` to each side; the outcomes must agree.  Returns
+        the outcome."""
         outcomes = []
         for side in (self.real, self.ref):
             try:
@@ -312,6 +326,15 @@ class WordStoreMachine(RuleBasedStateMachine):
             except Exception as exc:
                 outcomes.append(("raised", type(exc)))
         assert outcomes[0] == outcomes[1]
+        return outcomes[0]
+
+    def touched(self, name, idx):
+        self.highest[name] = max(self.highest[name], idx)
+
+    def handed_out(self, name, outcome):
+        """Note the frame an allocating operation returned, if it did."""
+        if outcome[0] == "ok":
+            self.touched(name, outcome[1])
 
     def frame_index(self, data, name):
         """Mostly an allocated frame; otherwise any index in -1..n."""
@@ -333,7 +356,7 @@ class WordStoreMachine(RuleBasedStateMachine):
 
     @rule(name=st.sampled_from(LEVELS))
     def allocate(self, name):
-        self.both(lambda h: h.level(name).allocate())
+        self.handed_out(name, self.both(lambda h: h.level(name).allocate()))
 
     @rule(name=st.sampled_from(LEVELS), data=st.data())
     def free(self, name, data):
@@ -367,14 +390,17 @@ class WordStoreMachine(RuleBasedStateMachine):
     def raw_page(self, name, data):
         idx = self.frame_index(data, name)
         words = self.page_words(data) if data.draw(st.booleans()) else None
-        self.both(lambda h: h.level(name).raw_page(
+        outcome = self.both(lambda h: h.level(name).raw_page(
             idx, None if words is None else list(words)))
+        if words is not None and outcome[0] == "ok":
+            self.touched(name, idx)
 
     @rule(src=st.sampled_from(LEVELS), dst=st.sampled_from(LEVELS),
           data=st.data())
     def transfer(self, src, dst, data):
         idx = self.frame_index(data, src)
-        self.both(lambda h: h.transfer(h.level(src), idx, h.level(dst)))
+        self.handed_out(dst, self.both(
+            lambda h: h.transfer(h.level(src), idx, h.level(dst))))
 
     # -- the comparison -----------------------------------------------------
 
@@ -389,6 +415,15 @@ class WordStoreMachine(RuleBasedStateMachine):
                 ref.used_count, ref.retired, ref.fault_counts)
             assert [real.raw_page(i) for i in range(real.n_frames)] \
                 == ref.frames
+
+    @invariant()
+    def store_covers_only_frames_touched(self):
+        # The invariant above reads every frame, past the store's end
+        # too; that must grow nothing.
+        for name in LEVELS:
+            level = self.real.level(name)
+            assert len(level._words) <= \
+                level.page_size * (self.highest[name] + 1)
 
 
 WordStoreMachine.TestCase.settings = settings(
@@ -411,3 +446,65 @@ def test_a_level_builds_no_object_per_frame():
     added = len(gc.get_objects()) - before
     assert hierarchy.disk.n_frames == 65536
     assert added < 100, added
+
+
+#: E18's hierarchy: the ``interactive`` workload's.
+E18_FRAMES = dict(page_size=16, core_frames=16384, bulk_frames=32768,
+                  disk_frames=65536)
+
+
+def traced_peak(thunk):
+    """``thunk()`` and the peak bytes it had allocated (tracemalloc)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = thunk()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_a_hierarchy_allocates_no_words_for_frames_not_handed_out():
+    """About 3.4 KiB at E18's sizes; 18,795 KiB when every level held a
+    word slot for each of its frames and a free list of all of them."""
+    hierarchy, peak = traced_peak(
+        lambda: MemoryHierarchy(SystemConfig(**E18_FRAMES)))
+    assert hierarchy.disk.free_count == 65536
+    assert peak < 64 * 1024, peak
+
+
+def test_booting_an_e18_sized_system_costs_what_it_touches():
+    """About 0.26 MiB; 37.0 MiB when both the system's hierarchy and the
+    memory-image builder's scratch one were allocated whole."""
+    system, peak = traced_peak(
+        lambda: MulticsSystem(kernel_config(**E18_FRAMES)).boot())
+    assert system.services.hierarchy.core.n_frames == 16384
+    assert peak < 2 * 2 ** 20, peak
+
+
+def test_a_block_reference_enters_the_memory_module_once():
+    """Every core word a compiled block reads or writes costs one Python
+    frame in this module: ``read`` or ``write`` itself, which check in
+    line (three frames a read when they called ``_check`` and
+    ``_maybe_parity``)."""
+    cpu, ctx = profile_world("io", frames=4)
+    entered = []
+
+    def profile(frame, event, arg):
+        if event != "call" or frame.f_code.co_filename != memory.__file__:
+            return
+        caller = frame.f_back
+        while caller.f_code.co_filename == memory.__file__:
+            caller = caller.f_back
+        if caller.f_code.co_filename.startswith("<block"):
+            entered.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        outcome = run_free(cpu, ctx)
+    finally:
+        sys.setprofile(None)
+    assert outcome[0] == "ok"
+    assert entered.count("read") > 50 and entered.count("write") > 50
+    assert set(entered) == {"read", "write"}
