@@ -131,7 +131,6 @@ class SmpComplex:
         config: SystemConfig,
         core,
         page_control,
-        ast,
         tc_lock,
         metrics: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
@@ -143,7 +142,6 @@ class SmpComplex:
         self.sim = sim
         self.config = config
         self.page_control = page_control
-        self.ast = ast
         self.tc_lock = tc_lock
         self.tracer = tracer or NULL_TRACER
         self.meters = meters
@@ -243,10 +241,8 @@ class SmpComplex:
 
         def handler(ctx, segno, pageno):
             cpu = self.cpus[index]
-            uid = ctx.dseg.get(segno).uid
-            spent = self.page_control.service_sync(
-                self.ast.get(uid), pageno,
-                now=self._vnow(index), owner=cpu,
+            spent = self.page_control.service_missing(
+                ctx.dseg, segno, pageno, now=self._vnow(index), owner=cpu,
             )
             cpu.stall(spent)
 

@@ -395,9 +395,8 @@ class KernelServices:
                                             Intent.READ, page_size, am=am)
                     break
                 except MissingPageFault as fault:
-                    uid = dseg.get(segno).uid
-                    self.page_control.service_sync(self.ast.get(uid),
-                                                   fault.pageno)
+                    self.page_control.service_missing(dseg, segno,
+                                                      fault.pageno)
             value, _ = retry_call(partial(core_read, frame, woff),
                                   self.retry_policy, self.injector,
                                   "kernel.read_word", tracer=self.tracer)
@@ -425,9 +424,8 @@ class KernelServices:
                                             Intent.WRITE, page_size, am=am)
                     break
                 except MissingPageFault as fault:
-                    uid = dseg.get(segno).uid
-                    self.page_control.service_sync(self.ast.get(uid),
-                                                   fault.pageno)
+                    self.page_control.service_missing(dseg, segno,
+                                                      fault.pageno)
             core_write(frame, woff, word)
 
     # -- shared lookup helpers (used by many gate handlers) -------------------

@@ -260,7 +260,6 @@ class MulticsSystem:
             config=self.config,
             core=services.hierarchy.core,
             page_control=services.page_control,
-            ast=services.ast,
             tc_lock=services.scheduler.tc_lock,
             metrics=services.metrics,
             tracer=services.tracer,
@@ -518,8 +517,7 @@ class Session:
         services = self.system.services
 
         def on_missing_page(ctx, segno, pageno):
-            uid = ctx.dseg.get(segno).uid
-            services.page_control.service_sync(services.ast.get(uid), pageno)
+            services.page_control.service_missing(ctx.dseg, segno, pageno)
 
         if self._legacy:
             def on_linkage_fault(ctx, index):

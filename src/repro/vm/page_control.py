@@ -17,9 +17,23 @@ by moving pages to disk when required".  The faulting process "can just
 wait until a primary memory block is free and then initiate the
 transfer of the desired page into primary memory".
 
-Both designs share the same data-movement helpers, so the measured
-difference is purely structural: how many steps the *faulting process*
-performs, and how long a fault takes under contention.
+Both designs share the fault frame (:meth:`PageControl.fault`: the
+count, the page-table lock, the trace span and the E5 record) and the
+data-movement helpers; each keeps only its own move loop, so the
+measured difference is purely structural: how many steps the *faulting
+process* performs, and how long a fault takes under contention.
+
+Victims are chosen in one place, :meth:`PageControl._choose_core_victims`,
+through the policy's one call (:mod:`repro.vm.replacement`); a position
+outside the census raises.  Every missing page the CPUs and the
+kernel's word reads and writes meet enters through
+:meth:`PageControl.service_missing`.
+
+A memory level with no free frame and nothing left to evict (parity
+retirement has taken every frame it could free) is out of service.  The
+synchronous path, on core and on the bulk store, and both designs'
+faulters on core deny the fault with :class:`DeviceError`;
+:class:`OutOfFrames` never reaches a caller.
 """
 
 from __future__ import annotations
@@ -33,13 +47,13 @@ from repro.errors import DeviceError
 from repro.faults.recovery import RetryPolicy, retry_call
 from repro.hw.assoc import CamBroadcast
 from repro.hw.clock import Simulator
-from repro.hw.memory import MemoryHierarchy, OutOfFrames
-from repro.hw.segmentation import PTW
+from repro.hw.memory import MemoryHierarchy
+from repro.hw.segmentation import PTW, DescriptorSegment
 from repro.obs import NULL_TRACER, MetricsRegistry, Tracer
 from repro.proc.ipc import Block, Charge, Now, Wakeup
 from repro.proc.process import Process
 from repro.proc.scheduler import TrafficController
-from repro.vm.replacement import Candidate, ReplacementPolicy, make_policy
+from repro.vm.replacement import ReplacementPolicy, make_policy
 from repro.vm.segment_control import ActiveSegment, ActiveSegmentTable, PageHome
 
 
@@ -168,11 +182,8 @@ class PageControl:
         return result, spent
 
     def _page_in_move(self, aseg: ActiveSegment, pageno: int) -> int:
-        """Move a page from its home into a free core frame.
-
-        Returns the transfer cost.  Raises :class:`OutOfFrames` if core
-        is full (callers make room first).
-        """
+        """Move a page from its home into a free core frame (callers
+        make room first).  Returns the transfer cost."""
         home = aseg.homes[pageno]
         if home is None:
             return 0  # already in core (another faulter won the race)
@@ -189,10 +200,9 @@ class PageControl:
         self.am_broadcast.cam_uid(aseg.uid, pageno)
         if home.level == "bulk":
             self._bulk_pages.pop((aseg.uid, pageno), None)
-        self.resident[(aseg.uid, pageno)] = ResidentPage(
-            aseg, pageno, self.sim.clock.now, ptw
-        )
-        self.policy.note_loaded(hash((aseg.uid, pageno)), self.sim.clock.now)
+        key = (aseg.uid, pageno)
+        self.resident[key] = ResidentPage(aseg, pageno, self.sim.clock.now, ptw)
+        self.policy.note_loaded(key, self.sim.clock.now)
         return self.hierarchy.transfer_cost(src, self.hierarchy.core) + backoff
 
     def _evict_core_move(self, rp: ResidentPage) -> int:
@@ -224,10 +234,11 @@ class PageControl:
 
         Historically this went *via primary memory*; the cost charged is
         the sum of both transfers even though the simulation moves the
-        data directly.
+        data directly.  Callers evict only from a full bulk store, so an
+        empty census means it is out of service.
         """
         if not self._bulk_pages:
-            raise OutOfFrames("bulk store has no evictable page")
+            raise self._out_of_service("bulk")
         # Peek first, pop only after the transfer lands: a fatal
         # transfer must not lose the page from the census.
         key = next(iter(self._bulk_pages))
@@ -249,6 +260,15 @@ class PageControl:
         ) + self.hierarchy.transfer_cost(
             self.hierarchy.core, self.hierarchy.disk
         ) + backoff
+
+    def _make_bulk_room(self) -> int:
+        """Move bulk pages to disk until a bulk frame is free, returning
+        the cost: a bulk frame freed by a move may be retired instead of
+        reused."""
+        cost = 0
+        while self.hierarchy.bulk.free_count == 0:
+            cost += self._evict_bulk_move()
+        return cost
 
     def deactivate_segment(self, aseg: ActiveSegment) -> int:
         """Write every resident page back to a disk home and evict it
@@ -295,6 +315,15 @@ class PageControl:
         for pageno in range(aseg.n_pages):
             self._bulk_pages.pop((aseg.uid, pageno), None)
 
+    @staticmethod
+    def _out_of_service(level: str) -> DeviceError:
+        """The denial for a level with no free frame and nothing left
+        to evict: parity retirement has taken every frame it could
+        free."""
+        return DeviceError(
+            f"{level}: out of service, no free frame and nothing to evict"
+        )
+
     def _choose_core_victim(self) -> ResidentPage:
         """Ask the replacement policy for a victim among resident pages."""
         return self._choose_core_victims(1)[0]
@@ -302,24 +331,26 @@ class PageControl:
     def _choose_core_victims(self, want: int) -> list[ResidentPage]:
         """One replacement round choosing up to ``want`` victims.
 
-        The policy picks the first victim.  The clock-hand sweep then
-        clears every used bit, after which any further selection this
-        round degenerates to FIFO order, so the rest of the batch is
-        the oldest other resident pages, at the head of ``resident``.
-        A policy with a ``victim_position`` method (the in-kernel clock
-        and FIFO) is given only the used bits in load order and reads
-        no more of them than it needs, so the round costs the victims
-        plus the sweep.  Any other policy gets a :class:`Candidate`
-        for every resident page through ``select``.
+        The policy picks the first victim from the census of resident
+        pages, ``(key, used)`` in load order, reading no more of it than
+        it needs, so the round costs the victims plus the sweep.  The
+        clock-hand sweep then clears every used bit, after which any
+        further choice this round degenerates to FIFO order, so the
+        rest of the batch is the oldest other resident pages, at the
+        head of ``resident``.  Callers ask only when core is full, so
+        nothing resident means core is out of service.
         """
         resident = self.resident
         if not resident:
-            raise OutOfFrames("no resident page to evict")
-        victim_position = getattr(self.policy, "victim_position", None)
-        if victim_position is None:
-            index = self._select_from_candidates()
-        else:
-            index = victim_position(rp.ptw.used for rp in resident.values())
+            raise self._out_of_service("core")
+        index = self.policy.victim_position(
+            (key, rp.ptw.used) for key, rp in resident.items()
+        )
+        if not 0 <= index < len(resident):
+            raise ValueError(
+                f"replacement policy {self.policy.name!r} chose position "
+                f"{index} of a {len(resident)}-page census"
+            )
         head = list(
             itertools.islice(resident.values(), max(index, want - 1) + 1)
         )
@@ -330,26 +361,6 @@ class PageControl:
             rp.ptw.used = False
         return victims
 
-    def _select_from_candidates(self) -> int:
-        """The victim's position by ``policy.select`` over a
-        :class:`Candidate` for every resident page."""
-        candidates = [
-            Candidate(
-                slot=hash((rp.aseg.uid, rp.pageno)),
-                used=rp.ptw.used,
-                modified=rp.ptw.modified,
-                loaded_at=rp.loaded_at,
-            )
-            for rp in self.resident.values()
-        ]
-        index = self.policy.select(candidates)
-        if not 0 <= index < len(candidates):
-            # A broken (or malicious ring-2) policy returned nonsense;
-            # the mechanism substitutes FIFO rather than malfunction.
-            # The oldest page is the first in load order.
-            index = 0
-        return index
-
     def _core_eviction_batch(self) -> int:
         """How many frames one synchronous replacement round frees."""
         return max(self.config.free_core_target, self.config.core_frames // 256)
@@ -357,8 +368,8 @@ class PageControl:
     def _record_fault(
         self, process: Process, started: int, finished: int, steps: int
     ) -> None:
-        """The common tail of both designs' fault paths: count the
-        fault, charge the wait, and feed the E5 measurement stream."""
+        """Count a discrete-event fault, charge the wait, and feed the
+        E5 measurement stream."""
         self.faults_serviced += 1
         process.fault_wait_cycles += finished - started
         self.fault_wait_total += finished - started
@@ -400,6 +411,17 @@ class PageControl:
     # ------------------------------------------------------------------
     # synchronous servicing (for CPU-driven execution outside the DES)
     # ------------------------------------------------------------------
+
+    def service_missing(self, dseg: DescriptorSegment, segno: int,
+                        pageno: int, now: int | None = None,
+                        owner=None) -> int:
+        """Service a missing-page fault on page ``pageno`` of segment
+        number ``segno`` in ``dseg``: the one entry for the CPUs'
+        missing-page handlers and the kernel's word reads and writes.
+        Maps the segment number to its active segment, then
+        :meth:`service_sync`; returns the cycle cost."""
+        aseg = self.ast.get(dseg.get(segno).uid)
+        return self.service_sync(aseg, pageno, now, owner)
 
     def service_sync(self, aseg: ActiveSegment, pageno: int,
                      now: int | None = None, owner=None) -> int:
@@ -444,14 +466,10 @@ class PageControl:
                     for rp in self._choose_core_victims(
                         self._core_eviction_batch()
                     ):
-                        if self.hierarchy.bulk.free_count == 0:
-                            cost += self._evict_bulk_move()
+                        cost += self._make_bulk_room()
                         cost += self._evict_core_move(rp)
                     continue
-                try:
-                    cost += self._page_in_move(aseg, pageno)
-                except OutOfFrames:
-                    continue
+                cost += self._page_in_move(aseg, pageno)
                 self.faults_serviced += 1
                 return cost + wait
         finally:
@@ -463,21 +481,17 @@ class PageControl:
             self.tracer.end(sid, cost=cost)
 
     # ------------------------------------------------------------------
+    # the discrete-event fault path
+    # ------------------------------------------------------------------
 
     def fault(self, process: Process, aseg: ActiveSegment, pageno: int):
-        """Generator servicing one missing-page fault for ``process``."""
-        raise NotImplementedError
+        """Generator servicing one missing-page fault for ``process``.
 
-    def install(self) -> None:
-        """Create any dedicated kernel processes the design needs."""
-
-
-class SequentialPageControl(PageControl):
-    """The old design: the whole cascade runs in the faulting process."""
-
-    kind = "sequential"
-
-    def fault(self, process: Process, aseg: ActiveSegment, pageno: int):
+        The frame both designs share; the design's ``_moves`` makes the
+        page moves.  It yields the cost of each move the faulter makes,
+        waited out here as one step, and any wakeup or block the design
+        needs in between.
+        """
         process.page_faults += 1
         started = yield Now()
         if self.ptl is not None:
@@ -495,37 +509,44 @@ class SequentialPageControl(PageControl):
         # fault, process destruction): close the span as aborted rather
         # than leaking it with end=None.
         try:
-            while True:
-                if aseg.ptws[pageno].in_core:
-                    break  # another process brought it in meanwhile
-                if self.hierarchy.core.free_count == 0:
-                    # Make room — and possibly make room to make room.
-                    if self.hierarchy.bulk.free_count == 0:
-                        cost = self._evict_bulk_move()
-                        steps += 1
-                        yield from self._io(cost)
-                        continue
-                    try:
-                        victim = self._choose_core_victim()
-                        cost = self._evict_core_move(victim)
-                    except OutOfFrames:
-                        continue
+            for item in self._moves(aseg, pageno):
+                if isinstance(item, (Wakeup, Block)):
+                    yield item
+                else:
                     steps += 1
-                    yield from self._io(cost)
-                    continue
-                try:
-                    cost = self._page_in_move(aseg, pageno)
-                except OutOfFrames:
-                    continue  # lost a race; start over
-                steps += 1
-                yield from self._io(cost)
-                break
+                    yield from self._io(item)
             finished = yield Now()
         except BaseException:
             self.tracer.abort(sid, steps=steps)
             raise
         self.tracer.end(sid, steps=steps)
         self._record_fault(process, started, finished, steps)
+
+    def _moves(self, aseg: ActiveSegment, pageno: int):
+        """Generator: the design's page moves for one fault."""
+        raise NotImplementedError
+
+    def install(self) -> None:
+        """Create any dedicated kernel processes the design needs."""
+
+
+class SequentialPageControl(PageControl):
+    """The old design: the whole cascade runs in the faulting process."""
+
+    kind = "sequential"
+
+    def _moves(self, aseg: ActiveSegment, pageno: int):
+        core, bulk = self.hierarchy.core, self.hierarchy.bulk
+        # Another process may bring the page in meanwhile.
+        while not aseg.ptws[pageno].in_core:
+            if core.free_count:
+                yield self._page_in_move(aseg, pageno)
+                return
+            # Make room — and possibly make room to make room.
+            if bulk.free_count:
+                yield self._evict_core_move(self._choose_core_victim())
+            else:
+                yield self._evict_bulk_move()
 
 
 #: Low-water mark of free bulk-store frames kept by the bulk freer.
@@ -572,10 +593,7 @@ class ParallelPageControl(PageControl):
                 yield Block(self.bulk_freed)
                 continue
             try:
-                victim = self._choose_core_victim()
-                cost = self._evict_core_move(victim)
-            except OutOfFrames:
-                continue
+                cost = self._evict_core_move(self._choose_core_victim())
             except DeviceError:
                 # Retries exhausted on this eviction; the page stays in
                 # core and the daemon keeps serving (degraded, not dead).
@@ -600,45 +618,22 @@ class ParallelPageControl(PageControl):
 
     # -- the faulting path -------------------------------------------------
 
-    def fault(self, process: Process, aseg: ActiveSegment, pageno: int):
+    def _moves(self, aseg: ActiveSegment, pageno: int):
         """The greatly simplified path: wait for a frame, transfer."""
-        process.page_faults += 1
-        started = yield Now()
-        if self.ptl is not None:
-            self.ptl.acquire(started)
-        sid = -1
-        if self.tracer.enabled:
-            sid = self.tracer.begin(
-                "page_fault", design=self.kind,
-                process=process.name, segment=aseg.uid, page=pageno,
-            )
-        steps = 0
-        # As in the sequential design: a dropped generator must close
-        # the span as aborted, never leak it with end=None.
-        try:
-            while True:
-                if aseg.ptws[pageno].in_core:
-                    break
-                if self.hierarchy.core.free_count == 0:
-                    yield Wakeup(self.core_needed)
-                    yield Block(self.core_freed)
-                    continue
-                try:
-                    cost = self._page_in_move(aseg, pageno)
-                except OutOfFrames:
-                    continue
-                steps += 1
+        core = self.hierarchy.core
+        while not aseg.ptws[pageno].in_core:
+            if core.free_count:
+                cost = self._page_in_move(aseg, pageno)
                 # Falling below the low-water mark pre-arms the freer.
-                if self.hierarchy.core.free_count < self.config.free_core_target:
+                if core.free_count < self.config.free_core_target:
                     yield Wakeup(self.core_needed)
-                yield from self._io(cost)
-                break
-            finished = yield Now()
-        except BaseException:
-            self.tracer.abort(sid, steps=steps)
-            raise
-        self.tracer.end(sid, steps=steps)
-        self._record_fault(process, started, finished, steps)
+                yield cost
+                return
+            if not self.resident:
+                # Nothing for the core freer to evict, ever.
+                raise self._out_of_service("core")
+            yield Wakeup(self.core_needed)
+            yield Block(self.core_freed)
 
 
 def make_page_control(

@@ -115,8 +115,7 @@ class PageRemovalMechanism:
         if rp is None:
             self.audit.append(("move_to_bulk", slot, "stale"))
             return False
-        if self._pc.hierarchy.bulk.free_count == 0:
-            self._pc._evict_bulk_move()
+        self._pc._make_bulk_room()
         self._pc._evict_core_move(rp)
         del self._slots[slot]
         self.moves_performed += 1

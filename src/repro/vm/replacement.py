@@ -1,35 +1,23 @@
 """Page replacement policies.
 
-A policy chooses which resident page to evict.  Candidates are
-presented as :class:`Candidate` records; the policy returns an index
-into the candidate list.  Policies never touch page *contents* —
-the policy/mechanism split of experiment E7 makes that impossibility
+A policy chooses which resident page to evict, through one call:
+``victim_position(pages)``.  Page control hands it the census of
+resident pages as ``(slot, used)`` pairs in load order (``slot`` is
+the page's resident key ``(uid, pageno)``, ``used`` its hardware used
+bit) and the policy returns the victim's position in that census; the
+same key reaches ``note_loaded`` when the page comes into core.  Load
+times never decrease along the census, so the oldest page is the first
+one: FIFO reads no bit, and clock reads bits only up to the first
+unused page.  Policies never touch page *contents* — the
+policy/mechanism split of experiment E7 makes that impossibility
 structural, but even the in-kernel policies here are written against
 the same narrow interface.
-
-Page control presents resident pages in load order (``loaded_at``
-never decreases along the list).  A policy whose choice depends only
-on that order and the used bits — FIFO and clock — also implements
-``victim_position``, which is handed the used bits alone, in load
-order, and returns the victim's position.  Page control then builds no
-:class:`Candidate` at all; a policy without the method (LRU) keeps
-``select``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Protocol
-
-
-@dataclass
-class Candidate:
-    """What a replacement policy may know about a resident page."""
-
-    slot: int          #: opaque identity within this decision round
-    used: bool         #: hardware used bit
-    modified: bool     #: hardware modified bit
-    loaded_at: int     #: time the page came into core
+from collections.abc import Hashable, Iterable
+from typing import Protocol
 
 
 class ReplacementPolicy(Protocol):
@@ -37,11 +25,11 @@ class ReplacementPolicy(Protocol):
 
     name: str
 
-    def select(self, candidates: list[Candidate]) -> int:
-        """Return the index of the victim in ``candidates``."""
+    def victim_position(self, pages: Iterable[tuple[Hashable, bool]]) -> int:
+        """Return the victim's position in the census ``pages``."""
         ...
 
-    def note_loaded(self, slot: int, time: int) -> None:
+    def note_loaded(self, slot: Hashable, time: int) -> None:
         """Observe that a page was loaded (for policies keeping state)."""
         ...
 
@@ -51,17 +39,11 @@ class FIFOPolicy:
 
     name = "fifo"
 
-    def select(self, candidates: list[Candidate]) -> int:
-        if not candidates:
-            raise ValueError("no candidates")
-        best = min(range(len(candidates)), key=lambda i: candidates[i].loaded_at)
-        return best
-
-    def victim_position(self, used: Iterable[bool]) -> int:
+    def victim_position(self, pages: Iterable[tuple[Hashable, bool]]) -> int:
         """The first page in load order is the oldest; no bit is read."""
         return 0
 
-    def note_loaded(self, slot: int, time: int) -> None:
+    def note_loaded(self, slot: Hashable, time: int) -> None:
         pass
 
 
@@ -75,64 +57,53 @@ class ClockPolicy:
 
     name = "clock"
 
-    def select(self, candidates: list[Candidate]) -> int:
-        if not candidates:
-            raise ValueError("no candidates")
-        unused = [i for i, c in enumerate(candidates) if not c.used]
-        if unused:
-            # Oldest unused page.
-            return min(unused, key=lambda i: candidates[i].loaded_at)
-        # Everything recently used: fall back to FIFO order.
-        return min(range(len(candidates)), key=lambda i: candidates[i].loaded_at)
-
-    def victim_position(self, used: Iterable[bool]) -> int:
+    def victim_position(self, pages: Iterable[tuple[Hashable, bool]]) -> int:
         """In load order the oldest unused page is the first unused
         one, so the bits are read only up to it; when every page is
         used, the first page (FIFO)."""
-        for position, bit in enumerate(used):
-            if not bit:
+        for position, (_slot, used) in enumerate(pages):
+            if not used:
                 return position
         return 0
 
-    def note_loaded(self, slot: int, time: int) -> None:
+    def note_loaded(self, slot: Hashable, time: int) -> None:
         pass
 
 
 class LRUPolicy:
     """Least-recently-used, approximated by used-bit sampling.
 
-    Each selection round, pages with the used bit set are treated as
-    referenced 'now'; the policy keeps a recency estimate per slot.
-    A round keeps the estimates of its own candidates only: a page that
-    has left the census is not asked about again until ``note_loaded``
-    sets its estimate afresh, so the table stays the size of the census
-    plus the pages loaded since the last round.
+    Each replacement round, pages with the used bit set are treated as
+    referenced 'now'; the policy keeps a recency estimate per slot and
+    evicts the first page in load order with the oldest estimate (so,
+    among equals, the one longest in core).  A round keeps the
+    estimates of its own census only: a page that has left it is not
+    asked about again until ``note_loaded`` sets its estimate afresh,
+    so the table stays the size of the census plus the pages loaded
+    since the last round.
     """
 
     name = "lru"
 
     def __init__(self) -> None:
-        self._last_seen: dict[int, int] = {}
+        self._last_seen: dict[Hashable, int] = {}
         self._round = 0
 
-    def select(self, candidates: list[Candidate]) -> int:
-        if not candidates:
-            raise ValueError("no candidates")
+    def victim_position(self, pages: Iterable[tuple[Hashable, bool]]) -> int:
         self._round += 1
+        now = self._round
         previous = self._last_seen
-        seen: dict[int, int] = {}
-        for cand in candidates:
-            if cand.used:
-                seen[cand.slot] = self._round
-            elif cand.slot not in seen:
-                seen[cand.slot] = previous.get(cand.slot, 0)
+        seen: dict[Hashable, int] = {}
+        victim, oldest = 0, now + 1
+        for position, (slot, used) in enumerate(pages):
+            estimate = now if used else previous.get(slot, 0)
+            seen[slot] = estimate
+            if estimate < oldest:
+                victim, oldest = position, estimate
         self._last_seen = seen
-        return min(
-            range(len(candidates)),
-            key=lambda i: (seen[candidates[i].slot], candidates[i].loaded_at),
-        )
+        return victim
 
-    def note_loaded(self, slot: int, time: int) -> None:
+    def note_loaded(self, slot: Hashable, time: int) -> None:
         self._last_seen[slot] = self._round
 
 

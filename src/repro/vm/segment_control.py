@@ -8,14 +8,15 @@ so one page-in serves all sharers (Multics's single-copy sharing).
 
 The :class:`ActiveSegmentTable` (AST) is the kernel's census of
 segments currently set up for paging.  Activation allocates disk homes
-for all pages; deactivation requires every page to be out of core.
+for all pages; dropping a segment requires every page to be out of core
+and frees its homes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.hw.memory import MemoryHierarchy, MemoryLevel
+from repro.hw.memory import MemoryHierarchy
 from repro.hw.segmentation import PTW
 
 
@@ -37,8 +38,6 @@ class ActiveSegment:
         self.ptws: list[PTW] = [PTW() for _ in range(n_pages)]
         #: Non-core home of each page; None while the page is in core.
         self.homes: list[PageHome | None] = [None] * n_pages
-        #: How many descriptor segments share this segment's page table.
-        self.connections = 0
 
     @property
     def n_pages(self) -> int:
@@ -59,16 +58,15 @@ class ActiveSegmentTable:
 
     def __init__(self, hierarchy: MemoryHierarchy, lock=None) -> None:
         self.hierarchy = hierarchy
-        #: The AST lock (repro.kernel.locks): every activation,
-        #: deactivation and destruction of a page table is made while
-        #: holding it.  Acquisitions here are accounting-only — AST
-        #: mutations happen on the serialized kernel paths — but the
-        #: discipline (which operations serialize on which lock) is
-        #: explicit and visible in the ``lock.ast.*`` metrics.
+        #: The AST lock (repro.kernel.locks): every activation and drop
+        #: of a page table is made while holding it.  Acquisitions here
+        #: are accounting-only — AST mutations happen on the serialized
+        #: kernel paths — but the discipline (which operations serialize
+        #: on which lock) is explicit and visible in the ``lock.ast.*``
+        #: metrics.
         self.lock = lock
         self._segments: dict[int, ActiveSegment] = {}
         self.activations = 0
-        self.deactivations = 0
 
     def _locked(self) -> None:
         if self.lock is not None:
@@ -99,9 +97,7 @@ class ActiveSegmentTable:
         """
         self._locked()
         if uid in self._segments:
-            seg = self._segments[uid]
-            seg.connections += 1
-            return seg
+            return self._segments[uid]
         seg = ActiveSegment(uid, n_pages)
         disk = self.hierarchy.disk
         for pageno in range(n_pages):
@@ -109,39 +105,9 @@ class ActiveSegmentTable:
             if initial_data is not None:
                 disk.write_page(frame, initial_data[pageno])
             seg.homes[pageno] = PageHome("disk", frame)
-        seg.connections = 1
         self._segments[uid] = seg
         self.activations += 1
         return seg
-
-    def deactivate(self, uid: int) -> None:
-        """Drop a segment from the AST; its pages must all be out of core.
-
-        (Page control is responsible for flushing first; requiring it
-        here keeps the invariant visible.)
-        """
-        self._locked()
-        seg = self.get(uid)
-        seg.connections -= 1
-        if seg.connections > 0:
-            return
-        if seg.resident_pages():
-            raise RuntimeError(
-                f"segment {uid} still has pages in core; flush first"
-            )
-        del self._segments[uid]
-        self.deactivations += 1
-
-    def destroy(self, uid: int) -> None:
-        """Free every page home of a (deactivatable) segment."""
-        self._locked()
-        seg = self.get(uid)
-        if seg.resident_pages():
-            raise RuntimeError(f"segment {uid} still has pages in core")
-        for home in seg.homes:
-            if home is not None:
-                self.hierarchy.level(home.level).free(home.frame)
-        del self._segments[uid]
 
     def drop(self, uid: int) -> None:
         """Remove a segment from the AST, freeing its non-core homes.
@@ -158,10 +124,3 @@ class ActiveSegmentTable:
                 self.hierarchy.level(home.level).free(home.frame)
                 seg.homes[i] = None
         del self._segments[uid]
-
-    def home_level(self, uid: int, pageno: int) -> MemoryLevel | None:
-        """Memory level currently holding the page (None if in core)."""
-        home = self.get(uid).homes[pageno]
-        if home is None:
-            return None
-        return self.hierarchy.level(home.level)

@@ -14,7 +14,10 @@ interpreter: E4 (call cycles on a standalone CPU, 645 and 6180), E15
 (a login session's memory loop with the associative memory on and
 off, under paging pressure, and four faulting programs), E17 (the SMP
 complex at 1 and 2 CPUs), R2 (a chaos storm) and E18 (200 users of the
-workload engine).
+workload engine).  ``page_fault_paths`` covers the discrete-event fault
+paths of both page-control designs, which the others never reach: E5's
+storm under each design and A1's three replacement policies on its two
+access patterns, traced, plus a fault generator dropped mid-service.
 
 Re-record only for a change meant to alter simulated results, and say
 why in the change log::
@@ -29,12 +32,19 @@ from pathlib import Path
 import pytest
 
 from repro import MulticsSystem, kernel_config
-from repro.config import RingMode
+from repro.config import PageControlKind, RingMode, SystemConfig
 from repro.errors import ReproError
+from repro.hw.clock import Simulator
 from repro.hw.cpu import Instruction as I, Link, Op
+from repro.hw.memory import MemoryHierarchy
 from repro.hw.rings import kernel_gate_brackets
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, Tracer
+from repro.proc.process import Process, ProcessState
+from repro.proc.scheduler import TrafficController
 from repro.user.object_format import ObjectSegment
+from repro.vm.page_control import make_page_control
+from repro.vm.replacement import make_policy
+from repro.vm.segment_control import ActiveSegmentTable
 from repro.workloads import WorkloadDriver, generate_population
 
 from tests.test_determinism import storm_system
@@ -277,6 +287,125 @@ def e18_200_users() -> dict:
     }
 
 
+# ---------------------------------------------------------------------------
+# E5 / A1: the discrete-event fault paths of both page-control designs
+# ---------------------------------------------------------------------------
+
+#: E5's storm hierarchy (benchmarks/test_e5_page_control.py).
+E5_CONFIG = dict(page_size=16, core_frames=8, bulk_frames=12,
+                 disk_frames=512, n_processors=2, n_virtual_processors=8,
+                 quantum=5000)
+#: A1's hierarchy (benchmarks/test_a1_replacement_ablation.py).
+A1_CONFIG = dict(page_size=16, core_frames=8, bulk_frames=32,
+                 disk_frames=512, n_processors=1, n_virtual_processors=6,
+                 quantum=10_000)
+
+
+def _traced_page_control(kind: str, sizing: dict, policy: str = "clock"):
+    config = SystemConfig(**sizing)
+    sim = Simulator()
+    metrics = MetricsRegistry(clock=sim.clock)
+    tc = TrafficController(sim, config, metrics=metrics)
+    hierarchy = MemoryHierarchy(config, metrics=metrics)
+    ast = ActiveSegmentTable(hierarchy)
+    tracer = Tracer(sim.clock, enabled=True)
+    pc = make_page_control(PageControlKind[kind], sim, tc, hierarchy, ast,
+                           config, policy=make_policy(policy),
+                           metrics=metrics, tracer=tracer)
+    return tc, ast, pc, metrics, tracer
+
+
+def _fault_path_fingerprint(pc, metrics, tracer) -> dict:
+    """Every fault record and ``page_fault`` span, one JSON line each,
+    and the ``pc.*`` instruments."""
+    snap = metrics.snapshot()
+    return {
+        "clock": snap["clock"],
+        "fault_records": [
+            json.dumps([r.process, r.started, r.finished,
+                        r.steps_in_faulter])
+            for r in pc.fault_records
+        ],
+        "pc": {kind: {name: value for name, value in snap[kind].items()
+                      if name.startswith("pc.")}
+               for kind in ("counters", "gauges", "histograms")},
+        "page_fault_spans": [
+            json.dumps(span.to_dict(), sort_keys=True)
+            for span in tracer.by_name("page_fault")
+        ],
+    }
+
+
+def e5_storm(kind: str) -> dict:
+    """Four processes sweep 12-page segments twice through 8 frames."""
+    tc, ast, pc, metrics, tracer = _traced_page_control(kind, E5_CONFIG)
+    segments = [ast.activate(uid=i, n_pages=12) for i in range(4)]
+
+    def body(seg):
+        def gen(proc):
+            for _sweep in range(2):
+                for page in range(seg.n_pages):
+                    yield from pc.touch(proc, seg, page)
+
+        return gen
+
+    workers = [Process(f"w{i}", body=body(s)) for i, s in enumerate(segments)]
+    for worker in workers:
+        tc.add_process(worker)
+    tc.run(max_events=2_000_000)
+    assert all(w.state is ProcessState.STOPPED for w in workers)
+    return _fault_path_fingerprint(pc, metrics, tracer)
+
+
+def a1_pattern(policy: str, pattern: str) -> dict:
+    """One process on A1's cyclic sweep or hot/cold set."""
+    tc, ast, pc, metrics, tracer = _traced_page_control(
+        "SEQUENTIAL", A1_CONFIG, policy)
+    seg = ast.activate(uid=1, n_pages=12)
+    if pattern == "sweep":
+        schedule = list(range(seg.n_pages)) * 4
+    else:
+        schedule = []
+        for round_no in range(16):
+            schedule.extend([0, 1, 2, 3] * 3)
+            schedule.append(4 + round_no % 8)
+
+    def body(proc):
+        for page in schedule:
+            yield from pc.touch(proc, seg, page)
+
+    worker = Process("w", body=body)
+    tc.add_process(worker)
+    tc.run(max_events=1_000_000)
+    assert worker.state is ProcessState.STOPPED
+    return _fault_path_fingerprint(pc, metrics, tracer)
+
+
+def dropped_fault(kind: str) -> dict:
+    """A fault generator dropped at its first I/O wait: its span closes
+    aborted, with the steps reached so far."""
+    tc, ast, pc, metrics, tracer = _traced_page_control(kind, A1_CONFIG)
+    seg = ast.activate(uid=1, n_pages=1)
+    gen = pc.fault(Process("victim", ring=4), seg, 0)
+    next(gen)
+    gen.send(0)
+    gen.close()
+    (span,) = tracer.by_name("page_fault")
+    assert span.attrs["aborted"] is True
+    return _fault_path_fingerprint(pc, metrics, tracer)
+
+
+def page_fault_paths() -> dict:
+    runs = {f"e5_{kind.lower()}": e5_storm(kind)
+            for kind in ("SEQUENTIAL", "PARALLEL")}
+    for policy in ("fifo", "clock", "lru"):
+        for pattern in ("sweep", "hot_cold"):
+            runs[f"a1_{policy}_{pattern}"] = a1_pattern(policy, pattern)
+    for kind in ("SEQUENTIAL", "PARALLEL"):
+        runs[f"dropped_{kind.lower()}"] = dropped_fault(kind)
+    return runs
+
+
 SCENARIOS = {
     "e4_call_cycles": e4_call_cycles,
     "e15_am_on": e15_loop,
@@ -288,6 +417,7 @@ SCENARIOS = {
     "e17_complex_2cpu": lambda: complex_run(2),
     "r2_storm": r2_storm,
     "e18_200_users": e18_200_users,
+    "page_fault_paths": page_fault_paths,
 }
 
 

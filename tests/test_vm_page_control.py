@@ -1,5 +1,7 @@
 """Tests for the two page-control designs."""
 
+from dataclasses import dataclass
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -226,94 +228,187 @@ class TestParallelSpecific:
         assert pc.faults_serviced >= sum(s.n_pages for s in segs) - 4
 
 
-class SelectOnly:
-    """A policy stripped to ``select``: page control must build the
-    :class:`Candidate` census for it."""
+@dataclass
+class Candidate:
+    """The census record the select-based policies took."""
 
-    def __init__(self, policy):
-        self.name = policy.name
-        self.select = policy.select
-        self.note_loaded = policy.note_loaded
+    slot: object
+    used: bool
+    modified: bool
+    loaded_at: int
 
 
-class FixedIndexPolicy:
-    """A broken policy: ``select`` returns ``index_of(candidates)``."""
-
-    name = "broken"
-
-    def __init__(self, index_of):
-        self.index_of = index_of
+class OldFIFO:
+    """FIFO as it chose through ``select``, before the one call."""
 
     def select(self, candidates):
-        return self.index_of(candidates)
+        return min(range(len(candidates)),
+                   key=lambda i: candidates[i].loaded_at)
 
     def note_loaded(self, slot, time):
         pass
 
 
-def replacement_round(policy, census, want):
-    """Load one page per ``(used, modified, loaded_at)`` of ``census``
-    through the fault path, set its bits, run one replacement round,
-    and return the victims' page numbers and every page's used bit."""
-    config = SystemConfig(page_size=4, core_frames=48, bulk_frames=48,
-                          disk_frames=128)
-    sim, tc, hierarchy, ast, pc = build(
-        config, PageControlKind.SEQUENTIAL, policy
-    )
-    seg = ast.activate(uid=1, n_pages=len(census))
-    for pageno, (used, modified, loaded_at) in enumerate(census):
-        sim.clock.advance_to(loaded_at)
-        pc.service_sync(seg, pageno)
-        seg.ptws[pageno].used = used
-        seg.ptws[pageno].modified = modified
-    victims = pc._choose_core_victims(want)
-    return [rp.pageno for rp in victims], [ptw.used for ptw in seg.ptws]
+class OldClock(OldFIFO):
+    """Clock as it chose through ``select``."""
+
+    def select(self, candidates):
+        unused = [i for i, c in enumerate(candidates) if not c.used]
+        if unused:
+            return min(unused, key=lambda i: candidates[i].loaded_at)
+        return super().select(candidates)
+
+
+class OldLRU:
+    """LRU as it chose through ``select``."""
+
+    def __init__(self):
+        self._last_seen = {}
+        self._round = 0
+
+    def select(self, candidates):
+        self._round += 1
+        previous = self._last_seen
+        seen = {}
+        for cand in candidates:
+            if cand.used:
+                seen[cand.slot] = self._round
+            elif cand.slot not in seen:
+                seen[cand.slot] = previous.get(cand.slot, 0)
+        self._last_seen = seen
+        return min(
+            range(len(candidates)),
+            key=lambda i: (seen[candidates[i].slot], candidates[i].loaded_at),
+        )
+
+    def note_loaded(self, slot, time):
+        self._last_seen[slot] = self._round
+
+
+OLD_SELECT = {"fifo": OldFIFO, "clock": OldClock, "lru": OldLRU}
+
+
+class SelectOverCensus:
+    """A select-based policy behind the one call: it keeps each page's
+    load time from ``note_loaded`` and builds the :class:`Candidate`
+    census page control used to build."""
+
+    def __init__(self, name):
+        self.name = name
+        self.old = OLD_SELECT[name]()
+        self.loaded_at = {}
+
+    def note_loaded(self, slot, time):
+        self.loaded_at[slot] = time
+        self.old.note_loaded(slot, time)
+
+    def victim_position(self, pages):
+        return self.old.select([
+            Candidate(slot, used, False, self.loaded_at[slot])
+            for slot, used in pages
+        ])
+
+
+class FixedPositionPolicy:
+    """A broken policy: ``victim_position`` returns ``position_of(n)``
+    for an ``n``-page census."""
+
+    name = "broken"
+
+    def __init__(self, position_of):
+        self.position_of = position_of
+
+    def victim_position(self, pages):
+        return self.position_of(len(list(pages)))
+
+    def note_loaded(self, slot, time):
+        pass
+
+
+#: A round's used bits: every page used, none, or one bit per page in
+#: load order (cycled over the census).
+USED_BITS = st.one_of(
+    st.just("all"), st.just("none"),
+    st.lists(st.booleans(), min_size=1, max_size=8),
+)
 
 
 class TestReplacementRound:
-    @settings(max_examples=200, derandomize=True, deadline=None)
+    @settings(max_examples=300, derandomize=True, deadline=None)
     @given(
-        name=st.sampled_from(["clock", "fifo"]),
-        pages=st.lists(
-            st.tuples(st.booleans(), st.booleans(), st.integers(0, 3)),
-            min_size=1, max_size=40,
+        name=st.sampled_from(["fifo", "clock", "lru"]),
+        first_loads=st.lists(st.integers(0, 2), min_size=1, max_size=8),
+        rounds=st.lists(
+            st.tuples(USED_BITS, st.integers(1, 9),
+                      st.lists(st.integers(0, 2), min_size=1, max_size=9)),
+            min_size=1, max_size=6,
         ),
-        data=st.data(),
     )
-    def test_victim_position_matches_select(self, name, pages, data):
-        """The oracle for the in-kernel policies' fast path: given only
-        the used bits in load order, they evict what ``select`` over
-        the full census evicts, in the same order, and the sweep leaves
-        the same bits.  Load times never decrease and often tie."""
-        want = data.draw(st.integers(1, len(pages) + 2))
-        census, now = [], 0
-        for used, modified, gap in pages:
-            now += gap
-            census.append((used, modified, now))
-        policy = make_policy(name)
-        assert hasattr(policy, "victim_position")
-        assert replacement_round(policy, census, want) == replacement_round(
-            SelectOnly(make_policy(name)), census, want
-        )
+    def test_victim_position_matches_select(self, name, first_loads, rounds):
+        """The one call chooses what the old ``select`` over a
+        :class:`Candidate` census chose, round after round: each round
+        sets the used bits, chooses a batch of victims, evicts them and
+        loads other pages (``note_loaded``) at load times that often
+        tie.  Both page controls must evict the same pages in the same
+        order and leave the same bits."""
+        config = SystemConfig(page_size=4, core_frames=8, bulk_frames=64,
+                              disk_frames=128)
+        stacks = [build(config, PageControlKind.SEQUENTIAL, policy)
+                  for policy in (make_policy(name), SelectOverCensus(name))]
+        segs = [ast.activate(uid=1, n_pages=24)
+                for _sim, _tc, _h, ast, _pc in stacks]
+        cursor = 0
+
+        def load(gaps):
+            nonlocal cursor
+            for gap in gaps:
+                if stacks[0][2].core.free_count == 0:
+                    return
+                while segs[0].ptws[cursor % 24].in_core:
+                    cursor += 1
+                for (sim, _tc, _h, _ast, pc), seg in zip(stacks, segs):
+                    sim.clock.advance(gap)
+                    pc.service_sync(seg, cursor % 24)
+                cursor += 1
+
+        load(first_loads)
+        for used_bits, want, gaps in rounds:
+            outcomes = []
+            for (_sim, _tc, _h, _ast, pc), seg in zip(stacks, segs):
+                for position, rp in enumerate(pc.resident.values()):
+                    if used_bits in ("all", "none"):
+                        rp.ptw.used = used_bits == "all"
+                    else:
+                        rp.ptw.used = used_bits[position % len(used_bits)]
+                victims = pc._choose_core_victims(want)
+                outcomes.append(([rp.pageno for rp in victims],
+                                 [ptw.used for ptw in seg.ptws]))
+                for rp in victims:
+                    pc._evict_core_move(rp)
+            assert outcomes[0] == outcomes[1]
+            load(gaps)
 
     @pytest.mark.parametrize(
-        "index_of", [lambda cands: -1, lambda cands: len(cands)],
+        "position_of", [lambda n: -1, lambda n: n],
         ids=["minus_one", "past_the_end"],
     )
-    def test_bad_index_substitutes_fifo(self, index_of):
-        """A policy index out of range evicts the oldest page, and the
-        round still clears every used bit."""
-        census = [(True, False, 3), (False, True, 5), (True, False, 5),
-                  (False, False, 9)]
-        victims, used = replacement_round(
-            FixedIndexPolicy(index_of), census, want=1
+    def test_bad_position_raises(self, position_of):
+        """A position outside the census raises an error naming the
+        policy and the position, and the fault evicts nothing."""
+        config = SystemConfig(page_size=4, core_frames=3, bulk_frames=8,
+                              disk_frames=32)
+        sim, tc, hierarchy, ast, pc = build(
+            config, PageControlKind.SEQUENTIAL,
+            FixedPositionPolicy(position_of),
         )
-        assert victims == [0]
-        assert not any(used)
-        victims, _ = replacement_round(
-            FixedIndexPolicy(index_of), census, want=3
-        )
-        assert victims == [0, 1, 2]
+        seg = ast.activate(uid=1, n_pages=4)
+        for pageno in range(3):
+            pc.service_sync(seg, pageno)
+        with pytest.raises(ValueError, match=r"policy 'broken' chose "
+                           r"position (-1|3) of a 3-page census"):
+            pc.service_sync(seg, 3)
+        assert [ptw.in_core for ptw in seg.ptws] == [True] * 3 + [False]
+        assert pc.core_evictions == 0
 
     def test_lru_table_stays_census_sized(self):
         """Paging many distinct pages through a small core leaves LRU

@@ -1,11 +1,14 @@
-"""Tests for replacement policies."""
+"""Tests for replacement policies.
+
+Every policy answers one call, ``victim_position``, over the census of
+resident pages as ``(slot, used)`` pairs in load order.
+"""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.vm.replacement import (
-    Candidate,
     ClockPolicy,
     FIFOPolicy,
     LRUPolicy,
@@ -13,96 +16,77 @@ from repro.vm.replacement import (
 )
 
 
-def cand(slot, used=False, modified=False, loaded_at=0):
-    return Candidate(slot=slot, used=used, modified=modified, loaded_at=loaded_at)
+def census(*bits):
+    """Pages with slots 0, 1, ... in load order and the given used bits."""
+    return list(enumerate(bits))
 
 
 class TestFIFO:
     def test_oldest_evicted(self):
-        policy = FIFOPolicy()
-        cands = [cand(0, loaded_at=10), cand(1, loaded_at=5), cand(2, loaded_at=20)]
-        assert policy.select(cands) == 1
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            FIFOPolicy().select([])
+        assert FIFOPolicy().victim_position(census(False, False, False)) == 0
 
     def test_ignores_used_bit(self):
-        policy = FIFOPolicy()
-        cands = [cand(0, used=True, loaded_at=1), cand(1, used=False, loaded_at=2)]
-        assert policy.select(cands) == 0
+        assert FIFOPolicy().victim_position(census(True, False)) == 0
 
     def test_victim_position_reads_no_bit(self):
-        bits = iter([True, False, True])
-        assert FIFOPolicy().victim_position(bits) == 0
-        assert list(bits) == [True, False, True]
+        pages = iter(census(True, False, True))
+        assert FIFOPolicy().victim_position(pages) == 0
+        assert list(pages) == census(True, False, True)
 
 
 class TestClock:
     def test_prefers_unused(self):
-        policy = ClockPolicy()
-        cands = [cand(0, used=True, loaded_at=1), cand(1, used=False, loaded_at=2)]
-        assert policy.select(cands) == 1
+        assert ClockPolicy().victim_position(census(True, False)) == 1
 
     def test_oldest_unused_wins(self):
-        policy = ClockPolicy()
-        cands = [
-            cand(0, used=False, loaded_at=9),
-            cand(1, used=False, loaded_at=3),
-        ]
-        assert policy.select(cands) == 1
+        assert ClockPolicy().victim_position(census(True, False, False)) == 1
 
     def test_all_used_falls_back_to_fifo(self):
-        policy = ClockPolicy()
-        cands = [cand(0, used=True, loaded_at=9), cand(1, used=True, loaded_at=3)]
-        assert policy.select(cands) == 1
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            ClockPolicy().select([])
+        assert ClockPolicy().victim_position(census(True, True)) == 0
 
     def test_victim_position_stops_at_first_unused(self):
-        bits = iter([True, True, False, True, False])
-        assert ClockPolicy().victim_position(bits) == 2
-        assert list(bits) == [True, False]
+        pages = iter(census(True, True, False, True, False))
+        assert ClockPolicy().victim_position(pages) == 2
+        assert list(pages) == [(3, True), (4, False)]
 
     def test_victim_position_all_used_is_first(self):
-        assert ClockPolicy().victim_position([True, True, True]) == 0
+        assert ClockPolicy().victim_position(census(True, True, True)) == 0
 
 
 class TestLRU:
     def test_untouched_page_evicted_before_touched(self):
         policy = LRUPolicy()
-        # Round 1: both unused -> both recency 0; slot order by loaded_at.
-        cands = [cand(10, used=False, loaded_at=1), cand(20, used=False, loaded_at=2)]
-        assert policy.select(cands) == 0
+        # Round 1: both unused -> both recency 0; the older page goes.
+        assert policy.victim_position([(10, False), (20, False)]) == 0
         # Round 2: slot 10 now used, slot 20 not: 20 is least recent.
-        cands = [cand(10, used=True, loaded_at=1), cand(20, used=False, loaded_at=2)]
-        assert policy.select(cands) == 1
+        assert policy.victim_position([(10, True), (20, False)]) == 1
 
     def test_note_loaded_updates_recency(self):
         policy = LRUPolicy()
-        policy.select([cand(1), cand(2)])
+        policy.victim_position([(1, False), (2, False)])
         policy.note_loaded(1, time=100)
         # Slot 1 was just loaded; slot 2 is older.
-        assert policy.select([cand(1), cand(2)]) == 1
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            LRUPolicy().select([])
+        assert policy.victim_position([(1, False), (2, False)]) == 1
 
     def test_round_forgets_pages_outside_its_census(self):
         policy = LRUPolicy()
-        policy.select([cand(1, used=True), cand(2), cand(3)])
+        policy.victim_position([(1, True), (2, False), (3, False)])
         policy.note_loaded(4, time=0)
         assert set(policy._last_seen) == {1, 2, 3, 4}
         # Pages 2 and 3 were evicted; page 1 keeps its estimate.
-        assert policy.select([cand(1), cand(4)]) == 0
+        assert policy.victim_position([(1, False), (4, False)]) == 0
         assert policy._last_seen == {1: 1, 4: 1}
 
-    def test_has_no_victim_position(self):
-        # LRU needs more than the used bits in load order.
-        assert not hasattr(LRUPolicy(), "victim_position")
+    def test_first_page_with_the_oldest_estimate_wins(self):
+        """One recency pass over the whole census; among the pages with
+        the oldest estimate, the first in load order goes."""
+        policy = LRUPolicy()
+        policy.victim_position(census(True, True, True))
+        policy.note_loaded(3, time=0)
+        # Slot 0 is used again; slots 1, 2 and 3 tie on round 1.
+        pages = iter(census(True, False, False, False))
+        assert policy.victim_position(pages) == 1
+        assert list(pages) == []
 
 
 class TestFactory:
@@ -115,19 +99,9 @@ class TestFactory:
             make_policy("random")
 
 
-@given(
-    st.lists(
-        st.tuples(st.booleans(), st.booleans(), st.integers(0, 1000)),
-        min_size=1,
-        max_size=30,
-    )
-)
-def test_every_policy_returns_valid_index(raw):
+@given(st.lists(st.booleans(), min_size=1, max_size=30))
+def test_every_policy_returns_valid_index(bits):
     """Property: all policies pick an in-range victim for any census."""
-    cands = [
-        cand(slot=i, used=u, modified=m, loaded_at=t)
-        for i, (u, m, t) in enumerate(raw)
-    ]
     for name in ("fifo", "clock", "lru"):
-        index = make_policy(name).select(cands)
-        assert 0 <= index < len(cands)
+        index = make_policy(name).victim_position(census(*bits))
+        assert 0 <= index < len(bits)

@@ -40,39 +40,31 @@ class TestActiveSegmentTable:
         a = ast.activate(uid=3, n_pages=1)
         b = ast.activate(uid=3, n_pages=1)
         assert a is b
-        assert a.connections == 2
         assert ast.activations == 1
-
-    def test_deactivate_respects_connections(self, ast):
-        ast.activate(uid=3, n_pages=1)
-        ast.activate(uid=3, n_pages=1)
-        ast.deactivate(3)
-        assert 3 in ast
-        ast.deactivate(3)
-        assert 3 not in ast
 
     def test_deactivate_with_resident_pages_refused(self, ast):
         seg = ast.activate(uid=3, n_pages=1)
         seg.ptws[0].place(frame=0)
         with pytest.raises(RuntimeError):
-            ast.deactivate(3)
+            ast.drop(3)
+        assert 3 in ast
 
     def test_get_unknown_uid(self, ast):
         with pytest.raises(KeyError):
             ast.get(99)
 
     def test_destroy_frees_homes(self, ast):
-        ast.activate(uid=5, n_pages=3)
+        seg = ast.activate(uid=5, n_pages=3)
         before = ast.hierarchy.disk.used_count
-        ast.destroy(5)
+        ast.drop(5)
         assert ast.hierarchy.disk.used_count == before - 3
+        assert seg.homes == [None] * 3
         assert 5 not in ast
 
     def test_home_level(self, ast):
         seg = ast.activate(uid=5, n_pages=1)
-        assert ast.home_level(5, 0) is ast.hierarchy.disk
-        seg.homes[0] = None
-        assert ast.home_level(5, 0) is None
+        assert seg.homes[0].level == "disk"
+        assert ast.hierarchy.disk.is_allocated(seg.homes[0].frame)
 
     def test_len(self, ast):
         ast.activate(uid=1, n_pages=1)
