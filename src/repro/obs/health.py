@@ -25,13 +25,16 @@ Rule kinds (``kind`` key):
 * ``gauge_floor`` / ``gauge_ceiling`` — the gauge's sampled level must
   be >= ``min`` / <= ``max``.
 * ``percentile_ceiling`` — a histogram's rolling percentile (``q``,
-  default 0.95) must be <= ``max``.
+  default 0.95) must be <= ``max``; ``q`` must be one of the quantiles
+  the sampler records (:data:`repro.obs.timeline.PERCENTILES`).
 
 Like the sampler, evaluation reads sample dicts only: zero simulated
 cycles, identical architectural results with the monitor on or off.
 """
 
 from __future__ import annotations
+
+from repro.obs.timeline import PERCENTILES
 
 #: Rule kinds and the keys each accepts beyond the common set.
 KINDS = {
@@ -47,6 +50,9 @@ COMMON_KEYS = {"name", "kind", "metric"}
 
 #: Default breach-log bound.
 DEFAULT_LOG_CAPACITY = 1024
+
+#: Sample key of each quantile a ``percentile_ceiling`` rule may name.
+_QUANTILE_KEYS = dict(PERCENTILES)
 
 
 def _is_number(value: object) -> bool:
@@ -93,8 +99,11 @@ def validate_rules(rules: object) -> None:
                                or not rule["when"]):
             raise ValueError(f"{where}: when must be a non-empty string")
         if "q" in rule and not (_is_number(rule["q"])
-                                and 0.0 <= rule["q"] <= 1.0):
-            raise ValueError(f"{where}: q must be a number in [0, 1]")
+                                and rule["q"] in _QUANTILE_KEYS):
+            raise ValueError(
+                f"{where}: q must be a quantile the timeline records, "
+                f"one of {sorted(_QUANTILE_KEYS)}, got {rule['q']!r}"
+            )
 
 
 class HealthMonitor:
@@ -175,8 +184,7 @@ class HealthMonitor:
         row = sample["histograms"].get(metric)
         if row is None:
             return None
-        q = rule.get("q", 0.95)
-        return row.get(f"p{round(q * 100)}")
+        return row.get(_QUANTILE_KEYS[rule.get("q", 0.95)])
 
     # -- export ----------------------------------------------------------
 

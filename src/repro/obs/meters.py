@@ -16,9 +16,9 @@ clock** — metering on or off, a workload runs in identical simulated
 cycles.  The boundaries feed the meters:
 
 * :meth:`Meters.track` — process admission (scheduler) and first kernel
-  contact; live processes are *polled* for their own accounting fields
-  (``cpu_cycles``, ``fault_wait_cycles``, ``page_faults``) at snapshot
-  time, so those charges cost nothing extra to attribute;
+  contact; the process's own charge fields (``cpu_cycles``,
+  ``fault_wait_cycles``) join the running total of the live processes'
+  cycles, and its ``page_faults`` are read from it per process;
 * :meth:`Meters.note_gate` — the gate choke point, charging the
   ring-crossing cost to both the per-gate and per-process meters;
 * :meth:`Meters.note_execution` — one ``CPU.execute`` run, attributing
@@ -29,9 +29,12 @@ cycles.  The boundaries feed the meters:
 Each boundary also bumps one running-total bucket, the sum of every
 per-process bucket, so the ``meter.*`` sources read a handful of
 integers instead of adding up every bucket at each read (the timeline
-sampler reads every source at every interval).  Only the live
-processes' own ``cpu_cycles`` and ``fault_wait_cycles`` are still
-summed, because those fields are charged outside this module.
+sampler reads every source at every interval).  ``cpu_cycles`` and
+``fault_wait_cycles`` are charged outside this module (the gate choke
+point, the scheduler's ``Charge``, the interrupt steal, page control's
+fault waits), so a tracked process carries them as
+:class:`ChargedCycles` properties that pass every change on to the
+running total; the meters refuse a context that does not.
 
 The attribution *coverage* invariant is the point of the whole layer:
 ``attributed_cycles()`` (everything landed in some process bucket) over
@@ -54,9 +57,9 @@ class ProcessMeter:
     """Cycle attribution bucket for one process.
 
     Live accounting (charged cycles, fault waits, fault counts) stays
-    on the :class:`Process` and is polled; the fields here are what no
-    other layer accumulates per process, plus the folded values of
-    destroyed processes.
+    on the :class:`Process`; the fields here are what no other layer
+    accumulates per process, plus the folded values of destroyed
+    processes.
     """
 
     pid: int
@@ -73,7 +76,7 @@ class ProcessMeter:
     gate_entries: int = 0
     gate_denials: int = 0
     gate_cycles: int = 0
-    # Folded at destruction; live values are polled from the Process.
+    # Folded at destruction; live values are read from the Process.
     folded_cpu_cycles: int = 0
     folded_fault_wait_cycles: int = 0
     folded_page_faults: int = 0
@@ -110,13 +113,57 @@ class GateMeter:
         return self.cycles / self.calls if self.calls else 0.0
 
 
+class ChargedCycles:
+    """The charge fields of a context the meters can follow.
+
+    ``cpu_cycles`` and ``fault_wait_cycles`` are properties: a write,
+    from whatever code makes it, also moves the running total of the
+    :class:`Meters` that track the context, so no ``meter.*`` source
+    adds up the live population.  :class:`repro.proc.process.Process`
+    carries them.
+    """
+
+    _cpu_cycles = 0
+    _fault_wait_cycles = 0
+    #: The meters tracking this context, or None.
+    _meters: "Meters | None" = None
+
+    @property
+    def cpu_cycles(self) -> int:
+        """Cycles charged to this context (gate costs, ``Charge``
+        simcalls, interrupt steals)."""
+        return self._cpu_cycles
+
+    @cpu_cycles.setter
+    def cpu_cycles(self, value: int) -> None:
+        meters = self._meters
+        if meters is not None:
+            meters._live_cycles += value - self._cpu_cycles
+        self._cpu_cycles = value
+
+    @property
+    def fault_wait_cycles(self) -> int:
+        """Cycles this context waited on discrete-event page faults."""
+        return self._fault_wait_cycles
+
+    @fault_wait_cycles.setter
+    def fault_wait_cycles(self, value: int) -> None:
+        meters = self._meters
+        if meters is not None:
+            meters._live_cycles += value - self._fault_wait_cycles
+        self._fault_wait_cycles = value
+
+
 class Meters:
     """The metering plane: buckets, totals, and the report formatters."""
 
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
-        #: pid -> live Process (polled for its accounting fields).
-        self._live: dict[int, "Process"] = {}
+        #: pid -> live process, whose charges these meters follow.
+        self._live: dict[int, ChargedCycles] = {}
+        #: ``cpu_cycles + fault_wait_cycles`` over ``_live``, kept by
+        #: :meth:`track`, :meth:`fold` and every charge.
+        self._live_cycles = 0
         #: pid -> bucket; buckets are never removed, only folded.
         self._buckets: dict[int, ProcessMeter] = {}
         #: The sum of every bucket, kept up to date by the boundaries.
@@ -155,29 +202,43 @@ class Meters:
 
     # -- accumulation boundaries ----------------------------------------
 
-    def track(self, process: "Process") -> None:
-        """Ensure a bucket exists and the live process is polled."""
+    def track(self, process: ChargedCycles) -> None:
+        """Ensure a bucket exists and follow the live process's
+        charges: its cycles so far join the running total."""
         if not self.enabled:
             return
         pid = process.pid
+        if pid in self._live:
+            return
+        if not isinstance(process, ChargedCycles):
+            raise TypeError(f"{process!r} has no ChargedCycles fields; "
+                            "the meters cannot follow its charges")
+        if process._meters is not None:
+            raise ValueError(f"{process!r} is already tracked by other "
+                             "meters")
         if pid not in self._buckets:
             self._buckets[pid] = ProcessMeter(pid, process.name)
-        if pid not in self._live:
-            self._live[pid] = process
+        self._live[pid] = process
+        process._meters = self
+        self._live_cycles += process._cpu_cycles + process._fault_wait_cycles
 
     def fold(self, process: "Process") -> None:
-        """Process destruction: freeze its live accounting into the
-        bucket so the aggregates stay monotonic."""
+        """Process destruction: move its live accounting from the
+        running total into the bucket so the aggregates stay
+        monotonic."""
         if not self.enabled:
             return
         live = self._live.pop(process.pid, None)
         if live is None:
             return
+        live._meters = None
+        cpu, wait = live._cpu_cycles, live._fault_wait_cycles
+        self._live_cycles -= cpu + wait
         bucket, total = self._buckets[process.pid], self._total
-        bucket.folded_cpu_cycles += live.cpu_cycles
-        total.folded_cpu_cycles += live.cpu_cycles
-        bucket.folded_fault_wait_cycles += live.fault_wait_cycles
-        total.folded_fault_wait_cycles += live.fault_wait_cycles
+        bucket.folded_cpu_cycles += cpu
+        total.folded_cpu_cycles += cpu
+        bucket.folded_fault_wait_cycles += wait
+        total.folded_fault_wait_cycles += wait
         bucket.folded_page_faults += live.page_faults
         total.folded_page_faults += live.page_faults
 
@@ -220,7 +281,8 @@ class Meters:
     def note_execution(self, ctx, cycles: int, am_hit_cycles: int,
                        walk_cycles: int, crossings: int) -> None:
         """Attribute one ``CPU.execute`` run's cycle deltas to the
-        executing context (a Process, or any ctx with a ``pid``)."""
+        executing context (a Process, or any ctx with a ``pid`` and
+        :class:`ChargedCycles` fields)."""
         if not self.enabled:
             return
         pid = getattr(ctx, "pid", None)
@@ -228,11 +290,8 @@ class Meters:
             return  # a bare bench context; nothing to attribute to
         bucket = self._buckets.get(pid)
         if bucket is None:
-            bucket = self._buckets[pid] = ProcessMeter(
-                pid, getattr(ctx, "name", f"pid{pid}")
-            )
-            if hasattr(ctx, "cpu_cycles"):
-                self._live.setdefault(pid, ctx)
+            self.track(ctx)
+            bucket = self._buckets[pid]
         total = self._total
         bucket.exec_cycles += cycles
         total.exec_cycles += cycles
@@ -295,12 +354,10 @@ class Meters:
     def attributed_cycles(self) -> int:
         """Cycles landed in some per-process bucket (the numerator):
         :meth:`process_attributed` summed over every bucket, read from
-        the running total plus the live processes' own fields."""
+        the running totals."""
         total = self._total
         return (total.folded_cpu_cycles + total.folded_fault_wait_cycles
-                + total.exec_cycles
-                + sum([p.cpu_cycles + p.fault_wait_cycles
-                       for p in self._live.values()]))
+                + total.exec_cycles + self._live_cycles)
 
     def total_cycles(self) -> int:
         """Cycles any charging site recorded (the denominator):

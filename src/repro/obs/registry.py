@@ -32,9 +32,8 @@ up one value per process turns sampling into the run's largest cost
 at a few thousand processes.  Where a metric is a sum over processes,
 keep a running total bumped where the per-process values change (the
 ``am.*`` sources read :class:`repro.hw.assoc.AmTotals`, the ``meter.*``
-sources the metering plane's total bucket).  The one exception is the
-metering plane's pass over live processes' own cycle fields, which
-are charged outside it.
+sources the metering plane's total bucket and its running total of the
+live processes' cycles).
 
 Naming scheme: lowercase dotted paths, ``<subsystem>.<metric>`` —
 ``sched.dispatches``, ``pc.faults_serviced``, ``mem.core.allocations``,
@@ -167,11 +166,17 @@ class Histogram:
         than the reservoir size have arrived; a deterministic uniform
         estimate beyond that.
         """
+        return self.percentiles((q,))[0]
+
+    def percentiles(self, qs: tuple[float, ...]) -> list[float | None]:
+        """:meth:`percentile` for each of ``qs``, read from one sorted
+        copy of the reservoir."""
         if not self.reservoir:
-            return None
+            return [None] * len(qs)
         ordered = sorted(self.reservoir)
-        index = int(max(0.0, min(1.0, q)) * (len(ordered) - 1) + 0.5)
-        return ordered[max(0, min(len(ordered) - 1, index))]
+        last = len(ordered) - 1
+        return [ordered[int(max(0.0, min(1.0, q)) * last + 0.5)]
+                for q in qs]
 
     def summary(self) -> dict:
         return {

@@ -53,6 +53,7 @@ DEFAULT_CAPACITY = 512
 #: Quantiles recorded per histogram each sample (rolling, over the
 #: deterministic reservoir) and their document keys.
 PERCENTILES = ((0.50, "p50"), (0.95, "p95"))
+_QUANTILES, _KEYS = zip(*PERCENTILES)
 
 #: Keys a timeline config dict (``SystemConfig.timeline``) may carry.
 CONFIG_KEYS = ("interval", "capacity", "rules")
@@ -175,8 +176,7 @@ class TimelineSampler:
             c0, s0 = self._last_hist.get(name, (0, 0))
             self._last_hist[name] = (hist.count, hist.sum)
             row = {"count": hist.count - c0, "sum": hist.sum - s0}
-            for q, key in PERCENTILES:
-                row[key] = hist.percentile(q)
+            row.update(zip(_KEYS, hist.percentiles(_QUANTILES)))
             histograms[name] = row
         sample = {
             "index": index,

@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING, Callable, Generator
 from repro.config import USER_RING
 from repro.hw.cpu import CodeSegment, Link
 from repro.hw.segmentation import DescriptorSegment
+from repro.obs.meters import ChargedCycles
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.proc.ipc import SimCall
@@ -43,7 +44,7 @@ class ProcessState(enum.Enum):
 ProcessBody = Callable[["Process"], Generator["SimCall", object, object]]
 
 
-class Process:
+class Process(ChargedCycles):
     """One process: address space + ring + principal + body coroutine."""
 
     def __init__(
@@ -71,10 +72,12 @@ class Process:
         #: Level-1 virtual processor currently hosting this process.
         self.vp = None
         self._gen: Generator | None = None
-        # Accounting, read by the benches.
-        self.cpu_cycles = 0
+        # Accounting, read by the benches.  ``cpu_cycles`` and
+        # ``fault_wait_cycles`` are ChargedCycles properties, so the
+        # meters that track this process see every charge.
+        self._cpu_cycles = self._fault_wait_cycles = 0
+        self._meters = None
         self.page_faults = 0
-        self.fault_wait_cycles = 0
         self.wakeups_received = 0
         self.preemptions = 0
         self.result: object = None

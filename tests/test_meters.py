@@ -2,16 +2,19 @@
 the buckets and coverage math, and the end-to-end attribution wiring
 through a live system."""
 
+import pytest
+
 from repro.config import SystemConfig
 from repro.faults.harness import harness_config, standard_workload
 from repro.obs import NULL_METERS, Meters
+from repro.obs.meters import ChargedCycles
 from repro.proc.ipc import Charge
 from repro.proc.process import Process
 from repro.system import MulticsSystem
 
 
-class FakeProcess:
-    """Just the accounting surface Meters polls."""
+class FakeProcess(ChargedCycles):
+    """Just the accounting surface Meters follows."""
 
     def __init__(self, pid, name="p"):
         self.pid = pid
@@ -98,6 +101,46 @@ class TestMetersUnit:
 
         m.note_execution(Bare(), 100, 0, 0, 0)
         assert m._buckets == {}
+
+    def test_context_without_charged_cycles_is_refused(self):
+        class Plain:
+            pid, name = 7, "plain"
+            cpu_cycles = fault_wait_cycles = page_faults = 0
+
+        m = Meters()
+        for call in (lambda: m.track(Plain()),
+                     lambda: m.note_gate(Plain(), "hcs_$x", 8),
+                     lambda: m.note_execution(Plain(), 100, 0, 0, 0)):
+            with pytest.raises(TypeError, match="cannot follow"):
+                call()
+        assert m._buckets == {} and m._live == {}
+
+    def test_context_tracked_by_other_meters_is_refused(self):
+        a, b = Meters(), Meters()
+        p = FakeProcess(1)
+        a.track(p)
+        with pytest.raises(ValueError, match="other meters"):
+            b.track(p)
+        # Once folded, another plane may follow it.
+        a.fold(p)
+        b.track(p)
+        p.cpu_cycles += 5
+        assert b.attributed_cycles() == 5
+        assert a.attributed_cycles() == 0
+
+    def test_charges_move_the_running_total(self):
+        m = Meters()
+        p, q = FakeProcess(1), FakeProcess(2)
+        p.cpu_cycles = 11  # charged before tracking: joins at track
+        m.track(p)
+        m.track(q)
+        p.cpu_cycles += 4
+        q.fault_wait_cycles += 6
+        assert m._live_cycles == m.attributed_cycles() == 21
+        m.fold(p)
+        p.cpu_cycles += 100  # no longer followed
+        assert m._live_cycles == 6
+        assert m.attributed_cycles() == 21
 
     def test_coverage_of_empty_meters_is_one(self):
         assert Meters().coverage() == 1.0

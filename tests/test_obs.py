@@ -2,9 +2,13 @@
 registry, the tracer, snapshot validation, and the end-to-end wiring
 through a live system."""
 
+import collections
 import json
+import math
+import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.config import SystemConfig
 from repro.faults.harness import harness_config, standard_workload
@@ -19,6 +23,23 @@ from repro.obs import (
     validate_snapshot,
 )
 from repro.system import MulticsSystem
+
+
+def nearest_rank(values, q):
+    """The nearest-rank percentile by brute force: clamp ``q`` to
+    [0, 1], then walk a tally of the values up to the observation of
+    rank ``int(q * (n - 1) + 0.5)`` (None when there are none)."""
+    if not values:
+        return None
+    q = 0.0 if q < 0 else 1.0 if q > 1 else q
+    rank = int(q * (len(values) - 1) + 0.5)
+    tally = collections.Counter(values)
+    seen = 0
+    for value in sorted(tally):
+        seen += tally[value]
+        if seen > rank:
+            return value
+    raise AssertionError("rank past the tally")
 
 
 class TestMetricsRegistry:
@@ -419,6 +440,33 @@ class TestHistogramReservoir:
         assert h.percentile(1.0) == 50
         assert h.percentile(-3) == 10   # q clamped
         assert h.percentile(7) == 50
+
+    @given(st.integers(0, 600), st.integers(0, 2**32),
+           st.sampled_from([1, 7, 1_000_000]),
+           st.lists(st.floats(-2.0, 3.0)
+                    | st.sampled_from([0.0, 0.5, 0.95, 1.0,
+                                       -math.inf, math.inf]),
+                    min_size=1, max_size=5))
+    @example(600, 1975, 1_000_000, [0.5, 0.95])
+    @example(513, 2718, 7, [-0.5, 0.0, 1.0, 1.5])
+    @example(512, 1, 1_000_000, [0.95])
+    @example(0, 0, 1, [0.5, 0.95])
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    def test_one_sort_read_matches_a_nearest_rank_model(self, n, seed,
+                                                        spread, qs):
+        """``percentiles`` sorts the reservoir once for every ``q`` and
+        ``percentile`` reads through it; both give what the model gives,
+        past the reservoir's size too, where replacement has run."""
+        from repro.obs.registry import RESERVOIR_SIZE, Histogram
+
+        rng = random.Random(seed)
+        h = Histogram("h.x")
+        for _ in range(n):
+            h.observe(rng.randrange(spread))
+        assert len(h.reservoir) == min(n, RESERVOIR_SIZE)
+        want = [nearest_rank(h.reservoir, q) for q in qs]
+        assert h.percentiles(tuple(qs)) == want
+        assert [h.percentile(q) for q in qs] == want
 
     def test_summary_shape_is_unchanged(self):
         from repro.obs.registry import Histogram

@@ -6,17 +6,19 @@ and every timeline sample — cost time in proportion to the population.
 They are now running totals bumped where the counts change.  Three
 guards keep that exact and keep it cheap:
 
-* **Oracle** (seeded Hypothesis): random sequences of AM operations and
-  meter calls; after every step each ``am.*`` and ``meter.*`` source
-  equals the brute-force population sum it replaced, which lives on
-  only here.
+* **Oracle** (seeded Hypothesis): random sequences of AM operations,
+  meter calls and cycle charges made through each real charging site
+  (a gate call, a scheduler ``Charge``, a discrete-event page fault, an
+  interrupt handled in the running process); after every step each
+  ``am.*`` and ``meter.*`` source equals the brute-force population sum
+  it replaced, which lives on only here.
 * **Golden**: a 600-user run in the ``login_storm`` benchmark's
   configuration, with a third of its sessions logged out, produces the
   snapshot and timeline documents recorded before the totals existed,
   byte for byte.
-* **Scaling guard**: with the per-process tables made unreadable, a
-  snapshot and a forced timeline sample still succeed, so no source
-  walks the population.
+* **Scaling guard**: with the per-process tables, the live processes
+  included, made unwalkable, a snapshot and a forced timeline sample
+  still succeed, so no source walks the population.
 """
 
 import dataclasses
@@ -27,14 +29,17 @@ from hypothesis import Phase, given, settings, strategies as st
 
 from repro import MulticsSystem, kernel_config
 from repro.config import CostModel, RingMode
-from repro.errors import ReproError
+from repro.errors import AccessDenied, ReproError
 from repro.hw.cpu import CPU, CodeSegment, Instruction as I, Op
 from repro.hw.memory import MemoryLevel
 from repro.hw.rings import user_brackets
 from repro.hw.segmentation import PTW, SDW, AccessMode, Intent
+from repro.kernel.gates import Gate, GateTable
 from repro.kernel.services import KernelServices
 from repro.obs import validate_snapshot
 from repro.obs.meters import ProcessMeter
+from repro.proc.interrupt_procs import InProcessDispatch
+from repro.proc.ipc import Block, Charge
 from repro.proc.process import Process
 from repro.workloads import WorkloadDriver, generate_population
 
@@ -53,6 +58,14 @@ N_FRAMES = 8
 #: re-places them so cached entries fail their witness checks.
 N_PTWS = 4
 GATES = ("hcs_$initiate", "hcs_$terminate", "hcs_$proc_create")
+#: The gate the rig's table exports: its one argument picks the outcome.
+ORACLE_GATE = "oracle_$charge"
+GATE_OUTCOMES = ("granted", "denied", "bad_args")
+#: The interrupt line whose handler runs inside the current process.
+STEAL_LINE = 9
+#: An active segment larger than core, so its faults keep evicting.
+SEGMENT_UID = 900_100
+SEGMENT_PAGES = 12
 
 AM_COUNTERS = ("hits", "misses", "invalidations", "cams")
 BUCKET_FIELDS = ("exec_cycles", "am_hit_cycles", "walk_cycles",
@@ -117,12 +130,26 @@ def source_values(services: KernelServices) -> dict:
 # the oracle test
 # ---------------------------------------------------------------------------
 
+def oracle_gate(services, process, outcome):
+    """The rig's gate handler: grants, or refuses after the charge."""
+    if outcome:
+        raise AccessDenied("the oracle refuses")
+
+
+def steal_handler(cycles):
+    """An in-process interrupt handler that costs ``cycles``."""
+    yield Charge(cycles)
+
+
 class Rig:
     """A small kernel substrate, a few processes, and one CPU whose
-    references go through each process's own AM."""
+    references go through each process's own AM.  Each process can
+    also be charged through the real sites: a gate table, and a body
+    the traffic controller runs that takes a ``Charge``, a page fault
+    or an interrupt for each wakeup it is sent."""
 
     def __init__(self) -> None:
-        self.services = KernelServices(kernel_config(
+        self.services = services = KernelServices(kernel_config(
             am_entries=4, core_frames=8, bulk_frames=8, disk_frames=64,
         ))
         core = MemoryLevel("core", N_FRAMES, 1, PAGE)
@@ -134,6 +161,45 @@ class Rig:
         self.procs = [self._process(i) for i in range(N_PROCS)]
         #: AM counts of destroyed processes: the old ``_am_retired``.
         self.retired = dict.fromkeys(AM_COUNTERS, 0)
+        self.gates = GateTable(services, services.audit)
+        self.gates.register(Gate(ORACLE_GATE, "oracle", oracle_gate,
+                                 ("int",)))
+        self.dispatch = InProcessDispatch(
+            services.interrupts, services.scheduler, services.config.costs)
+        self.dispatch.register(STEAL_LINE, steal_handler)
+        self.segment = services.ast.activate(uid=SEGMENT_UID,
+                                             n_pages=SEGMENT_PAGES)
+        #: pid -> the channel its body waits on, once admitted.
+        self.channels: dict = {}
+
+    def serve(self, process: Process, site: str, arg: int) -> None:
+        """Have ``process``'s body make one charge through ``site``: the
+        scheduler's ``Charge`` (``sched_charge``), page control's
+        discrete-event fault (``fault``), or an interrupt whose handler
+        runs in it (``steal``)."""
+        services = self.services
+        scheduler = services.scheduler
+        channel = self.channels.get(process.pid)
+        if channel is None:
+            channel = scheduler.create_channel(f"oracle.{process.pid}")
+            self.channels[process.pid] = channel
+            page_control, segment = services.page_control, self.segment
+            interrupts = services.interrupts
+
+            def body(proc):
+                while True:
+                    site, arg = yield Block(channel)
+                    if site == "sched_charge":
+                        yield Charge(arg)
+                    elif site == "fault":
+                        yield from page_control.fault(proc, segment, arg)
+                    else:
+                        interrupts.raise_line(STEAL_LINE, arg)
+
+            process.body = body
+            scheduler.add_process(process)
+        scheduler.send_wakeup(channel, (site, arg))
+        services.sim.run()
 
     def _process(self, i: int) -> Process:
         """A process with a code segment and a one-page data segment
@@ -225,6 +291,19 @@ class Rig:
             process.fault_wait_cycles += rest[1]
         elif name == "fold":
             meters.fold(process)
+        elif name == "refold":
+            # Fold, then a gate entry that tracks the process again.
+            meters.fold(process)
+            meters.note_gate(process, *rest)
+        elif name == "gate_call":
+            outcome = GATE_OUTCOMES.index(rest[0])
+            args = ("many", "args") if rest[0] == "bad_args" else (outcome,)
+            try:
+                self.gates.call(process, ORACLE_GATE, *args)
+            except ReproError:
+                pass  # refused after the charge, as a real denial is
+        elif name in ("sched_charge", "fault", "steal"):
+            self.serve(process, name, rest[0])
         else:  # pragma: no cover - the strategy is closed
             raise AssertionError(f"unknown op {name}")
 
@@ -261,6 +340,12 @@ OPS = st.one_of(
               st.integers(0, 3)),
     st.tuples(st.just("charge"), PROC, CYCLES, CYCLES),
     st.tuples(st.just("fold"), PROC),
+    st.tuples(st.just("refold"), PROC, st.sampled_from(GATES), CYCLES,
+              st.booleans()),
+    st.tuples(st.just("gate_call"), PROC, st.sampled_from(GATE_OUTCOMES)),
+    st.tuples(st.just("sched_charge"), PROC, CYCLES),
+    st.tuples(st.just("fault"), PROC, st.integers(0, SEGMENT_PAGES - 1)),
+    st.tuples(st.just("steal"), PROC, CYCLES),
 )
 
 
@@ -303,6 +388,30 @@ class TestOracle:
                    if name not in ("meter.gate_denials", "am.entries"))
         assert values["meter.gate_denials"] == 1
         assert values["am.entries"] == 0  # both tracked AMs cammed
+
+    def test_every_real_site_reaches_the_total(self):
+        """A fixed walk through each real charging site, and a fold
+        followed by a gate entry: every step but the fold moves the
+        attributed cycles, and the sources equal the population sums
+        throughout."""
+        rig = Rig()
+        p0 = rig.procs[0]
+        before = source_values(rig.services)["meter.attributed_cycles"]
+        for op in [("gate_call", 0, "granted"), ("gate_call", 1, "denied"),
+                   ("gate_call", 2, "bad_args"), ("sched_charge", 0, 30),
+                   ("fault", 1, 3), ("steal", 2, 25), ("fold", 0),
+                   ("refold", 0, GATES[0], 12, True),
+                   ("sched_charge", 0, 7)]:
+            rig.apply(op)
+            values = source_values(rig.services)
+            assert values == population_sums(rig.services, rig.retired), op
+            moved = values["meter.attributed_cycles"] - before
+            assert moved == 0 if op[0] == "fold" else moved > 0, op
+            before = values["meter.attributed_cycles"]
+        assert p0.pid in rig.services.meters._live  # the refold tracked it
+        assert rig.procs[1].fault_wait_cycles > 0
+        assert rig.dispatch.stolen_cycles >= 25
+        assert rig.gates.calls == 3
 
 
 # ---------------------------------------------------------------------------
@@ -383,8 +492,10 @@ class TestScalingGuard:
         services = system.services
         assert len(services._procs) >= 300
         assert len(services.meters._buckets) >= 300
+        assert len(services.meters._live) >= 300
         services._procs = Unwalkable(services._procs)
         services.meters._buckets = Unwalkable(services.meters._buckets)
+        services.meters._live = Unwalkable(services.meters._live)
         system.clock.advance(1)  # something new for the forced sample
         assert validate_snapshot(system.metrics.snapshot()) == []
         assert services.timeline.poll(force=True)

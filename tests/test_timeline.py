@@ -244,6 +244,10 @@ class TestHealthMonitor:
                "min": "lots"}], "min"),
             ([{"name": "r", "kind": "percentile_ceiling", "metric": "a.b",
                "max": 1, "q": 2}], "q"),
+            # The sampler records only p50 and p95: a rule on any other
+            # quantile would never evaluate.
+            ([{"name": "r", "kind": "percentile_ceiling", "metric": "a.b",
+               "max": 1, "q": 0.99}], r"one of \[0\.5, 0\.95\]"),
             ([{"name": "r", "kind": "gauge_floor", "metric": "a.b",
                "min": 1}] * 2, "duplicate"),
         ]:
@@ -304,6 +308,17 @@ class TestHealthMonitor:
         }))
         [row] = monitor.to_rows()
         assert row["value"] == 400 and row["limit"] == 100
+
+    def test_every_recorded_quantile_is_evaluated(self):
+        row = {"count": 4, "sum": 100, "p50": 20, "p95": 90}
+        for q, value in ((0.5, 20), (0.95, 90)):
+            monitor = HealthMonitor([{
+                "name": "lat", "kind": "percentile_ceiling",
+                "metric": "job.latency", "max": 0, "q": q,
+            }])
+            monitor.observe(sample(histograms={"job.latency": row}))
+            assert monitor.evaluations == 1
+            assert monitor.to_rows()[0]["value"] == value
 
     def test_absent_metric_skips_not_breaches(self):
         monitor = HealthMonitor([
